@@ -2,8 +2,11 @@
 // composite-key fingerprints).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
+#include <vector>
 
 namespace coradd {
 
@@ -33,5 +36,22 @@ inline uint64_t HashBytes(std::string_view bytes) {
   }
   return h;
 }
+
+/// Hash functors for memo tables keyed on column-id lists and name lists.
+struct IntVectorHash {
+  size_t operator()(const std::vector<int>& v) const {
+    uint64_t h = v.size();
+    for (int x : v) h = HashCombine(h, static_cast<uint32_t>(x));
+    return static_cast<size_t>(h);
+  }
+};
+
+struct StringVectorHash {
+  size_t operator()(const std::vector<std::string>& v) const {
+    uint64_t h = v.size();
+    for (const auto& s : v) h = HashCombine(h, HashBytes(s));
+    return static_cast<size_t>(h);
+  }
+};
 
 }  // namespace coradd

@@ -74,7 +74,6 @@ void ThreadPool::WaitIdle() {
 
 void ThreadPool::RunTimed(const std::function<void()>& task,
                           WorkerSlot* slot) {
-  active_participants_.fetch_add(1, std::memory_order_relaxed);
   // Busy-ns accounting costs two clock reads per task; tasks here are
   // chunky ParallelFor drains, so that is noise. Only worker tasks are
   // credited — caller threads draining the queue count tasks only.
@@ -82,7 +81,6 @@ void ThreadPool::RunTimed(const std::function<void()>& task,
     TRACE_SPAN("thread_pool.task");
     task();
     caller_tasks_.fetch_add(1, std::memory_order_relaxed);
-    active_participants_.fetch_sub(1, std::memory_order_relaxed);
     return;
   }
   TRACE_SPAN("thread_pool.task");
@@ -98,7 +96,6 @@ void ThreadPool::RunTimed(const std::function<void()>& task,
     slot->registry_tasks->Add(1);
     slot->registry_busy_ns->Add(ns);
   }
-  active_participants_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void ThreadPool::WorkerLoop(size_t worker_index) {
@@ -184,9 +181,7 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
     ParallelForFixedChunk(n, fn);
     return;
   }
-  active_participants_.fetch_add(1, std::memory_order_relaxed);
   scheduler_->ParallelFor(n, fn);
-  active_participants_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void ThreadPool::ParallelForFixedChunk(size_t n,
@@ -221,9 +216,7 @@ void ThreadPool::ParallelForFixedChunk(size_t n,
 
   // The caller claims chunks itself, then keeps the pool moving (other
   // loops' helper tasks included) until every one of its iterations is done.
-  active_participants_.fetch_add(1, std::memory_order_relaxed);
   drain();
-  active_participants_.fetch_sub(1, std::memory_order_relaxed);
   while (state->done.load() < n) RunOneQueuedTask();
 }
 

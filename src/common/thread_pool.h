@@ -138,14 +138,6 @@ class ThreadPool {
   /// Threads a ParallelFor can recruit: every worker plus the calling
   /// thread, which always participates in its own loop.
   size_t participant_capacity() const { return workers_.size() + 1; }
-  /// Threads currently executing pool work (worker tasks, caller drains,
-  /// and inline ParallelFor participation). An approximate saturation
-  /// signal for admission control — a thread inside a nested ParallelFor
-  /// counts once per nesting level — not the scheduler's per-loop
-  /// participant count, which stays internal to common/scheduler.cc.
-  size_t active_participants() const {
-    return active_participants_.load(std::memory_order_relaxed);
-  }
 
  private:
   /// One worker's counters, cache-line-isolated so neighbors don't false-
@@ -183,7 +175,6 @@ class ThreadPool {
   bool stop_ = false;
   std::atomic<size_t> queue_hwm_{0};
   std::atomic<uint64_t> caller_tasks_{0};
-  std::atomic<size_t> active_participants_{0};
   obs::Gauge* registry_queue_depth_ = nullptr;  ///< named pools only
 };
 

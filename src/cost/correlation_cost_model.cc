@@ -2,12 +2,95 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <memory>
 
+#include "common/hash.h"
 #include "common/string_util.h"
+#include "cost/bucket_profile.h"
 #include "stats/ae_estimator.h"
 
 namespace coradd {
+
+namespace {
+
+/// (query, clustered key, heap pages): everything a query's best path
+/// depends on within one universe.
+struct BestKey {
+  uint32_t query;
+  uint32_t key;
+  uint64_t pages;
+  bool operator==(const BestKey&) const = default;
+};
+struct BestKeyHash {
+  size_t operator()(const BestKey& k) const {
+    return static_cast<size_t>(HashCombine(
+        HashCombine(HashU64(k.pages), k.key), k.query));
+  }
+};
+
+/// BestKey plus the secondary structure's interned column list.
+struct SecondaryKey {
+  uint32_t query;
+  uint32_t subset;
+  uint32_t key;
+  uint64_t pages;
+  bool operator==(const SecondaryKey&) const = default;
+};
+struct SecondaryKeyHash {
+  size_t operator()(const SecondaryKey& k) const {
+    return static_cast<size_t>(HashCombine(
+        HashCombine(HashCombine(HashU64(k.pages), k.key), k.subset),
+        k.query));
+  }
+};
+
+struct U64Hash {
+  size_t operator()(uint64_t x) const { return static_cast<size_t>(HashU64(x)); }
+};
+
+}  // namespace
+
+struct CorrelationCostModel::KeyEntry {
+  uint32_t id = 0;
+  /// rank_of_row[i] = position of synopsis row i in clustered-key order.
+  std::vector<uint32_t> rank_of_row;
+};
+
+struct CorrelationCostModel::MatchedEntry {
+  std::vector<uint32_t> rows;  ///< Matching synopsis rows, ascending.
+  double matched_full = 1.0;   ///< Estimated matching rows in the table.
+};
+
+struct CorrelationCostModel::QueryEntry {
+  uint32_t id = 0;
+  struct Subset {
+    std::vector<std::string> cols;
+    uint32_t id = 0;
+    const MatchedEntry* matched = nullptr;
+  };
+  /// SecondarySubsets(q), interned and with their matched rows.
+  std::vector<Subset> subsets;
+};
+
+struct CorrelationCostModel::UniverseMemo {
+  explicit UniverseMemo(const UniverseStats* s)
+      : stats(s), orders(&s->synopsis()) {}
+
+  const UniverseStats* stats;
+  ColumnOrderCache orders;
+  std::atomic<uint32_t> next_query{0};
+  std::atomic<uint32_t> next_key{0};
+  std::atomic<uint32_t> next_subset{0};
+  ShardedMemo<std::string, QueryEntry> queries;
+  /// Clustered key (universe column ids, key order) -> id and ranks.
+  ShardedMemo<std::vector<int>, KeyEntry, IntVectorHash> keys;
+  ShardedMemo<std::vector<std::string>, uint32_t, StringVectorHash> subsets;
+  /// (query id << 32 | subset id) -> matched rows.
+  ShardedMemo<uint64_t, MatchedEntry, U64Hash> matched;
+  ShardedMemo<BestKey, CostBreakdown, BestKeyHash> best;
+  ShardedMemo<SecondaryKey, CostBreakdown, SecondaryKeyHash> secondary;
+  UniverseMemo* next = nullptr;
+};
 
 CorrelationCostModel::CorrelationCostModel(const StatsRegistry* registry,
                                            CorrelationCostModelOptions options)
@@ -15,150 +98,155 @@ CorrelationCostModel::CorrelationCostModel(const StatsRegistry* registry,
   CORADD_CHECK(registry != nullptr);
 }
 
+CorrelationCostModel::~CorrelationCostModel() {
+  UniverseMemo* u = universes_.load(std::memory_order_acquire);
+  while (u != nullptr) {
+    UniverseMemo* next = u->next;
+    delete u;
+    u = next;
+  }
+}
+
 std::string CorrelationCostModel::CacheId() const {
   return StrFormat("correlation-aware(b=%u,s=%zu)", options_.bucket_pages,
                    options_.max_subset_size);
 }
 
-namespace {
-/// Structural identity of a spec for memoization (name excluded; column
-/// *set* determines row width, key *order* determines clustering).
-std::string SpecSignature(const MvSpec& spec) {
-  std::vector<std::string> cols = spec.columns;
-  std::sort(cols.begin(), cols.end());
-  std::string s = spec.fact_table;
-  s += spec.is_base ? "|B|" : (spec.is_fact_recluster ? "|R|" : "|M|");
-  for (const auto& c : cols) {
-    s += c;
-    s += ',';
+size_t CorrelationCostModel::secondary_memo_entries() const {
+  size_t n = 0;
+  for (UniverseMemo* u = universes_.load(std::memory_order_acquire);
+       u != nullptr; u = u->next) {
+    n += u->secondary.size();
   }
-  s += '|';
-  for (const auto& k : spec.clustered_key) {
-    s += k;
-    s += ',';
-  }
-  return s;
+  return n;
 }
 
-/// Sorts bucket observations ascending. Values live in [0, num_buckets);
-/// when the bucket range is comparable to the observation count a counting
-/// sort beats the comparison sort — the output is identical either way, so
-/// the branch cannot affect estimates.
-void SortBucketObs(std::vector<int64_t>* obs, double num_buckets) {
-  const double dense_limit =
-      4.0 * static_cast<double>(obs->size()) + 1024.0;
-  if (num_buckets <= dense_limit) {
-    std::vector<uint32_t> counts(static_cast<size_t>(num_buckets) + 1, 0);
-    for (int64_t v : *obs) ++counts[static_cast<size_t>(v)];
-    size_t out = 0;
-    for (size_t b = 0; b < counts.size(); ++b) {
-      for (uint32_t k = 0; k < counts[b]; ++k) {
-        (*obs)[out++] = static_cast<int64_t>(b);
-      }
-    }
-  } else {
-    std::sort(obs->begin(), obs->end());
-  }
-}
-}  // namespace
-
-const std::vector<uint32_t>& CorrelationCostModel::MatchedRows(
-    const UniverseStats& stats, const Query& q,
-    const std::vector<std::string>& cols) const {
-  std::string key = stats.universe().fact_name() + "|" + q.id + "|";
-  for (const auto& c : cols) key += c + ",";
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = matched_cache_.find(key);
-    if (it != matched_cache_.end()) return it->second;
-  }
-
-  const Synopsis& syn = stats.synopsis();
-  std::vector<const Predicate*> preds;
-  std::vector<int> ucols;
-  for (const auto& p : q.predicates) {
-    if (std::find(cols.begin(), cols.end(), p.column) == cols.end()) continue;
-    preds.push_back(&p);
-    ucols.push_back(stats.universe().ColumnIndex(p.column));
-  }
-
-  std::vector<uint32_t> matched;
-  const size_t n = syn.sample_rows();
-  for (size_t i = 0; i < n; ++i) {
-    bool ok = true;
-    for (size_t j = 0; j < preds.size(); ++j) {
-      if (!preds[j]->Matches(syn.Values(ucols[j])[i])) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) matched.push_back(static_cast<uint32_t>(i));
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  return matched_cache_.try_emplace(std::move(key), std::move(matched))
-      .first->second;
-}
-
-const ColumnOrderCache& CorrelationCostModel::OrderCache(
+CorrelationCostModel::UniverseMemo& CorrelationCostModel::UniverseFor(
     const UniverseStats& stats) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = order_caches_.find(&stats);
-  if (it == order_caches_.end()) {
-    it = order_caches_
-             .try_emplace(&stats,
-                          std::make_unique<ColumnOrderCache>(&stats.synopsis()))
-             .first;
+  UniverseMemo* head = universes_.load(std::memory_order_acquire);
+  for (UniverseMemo* u = head; u != nullptr; u = u->next) {
+    if (u->stats == &stats) return *u;
   }
-  return *it->second;
+  auto fresh = std::make_unique<UniverseMemo>(&stats);
+  for (;;) {
+    fresh->next = head;
+    if (universes_.compare_exchange_weak(head, fresh.get(),
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+      return *fresh.release();
+    }
+    // Someone pushed meanwhile: only the nodes above our old head are new.
+    for (UniverseMemo* u = head; u != fresh->next; u = u->next) {
+      if (u->stats == &stats) return *u;
+    }
+  }
 }
 
-const CorrelationCostModel::RankCacheEntry& CorrelationCostModel::Ranks(
-    const UniverseStats& stats, const MvSpec& spec) const {
-  std::string key = stats.universe().fact_name() + "|";
-  for (const auto& c : spec.clustered_key) key += c + ",";
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = rank_cache_.find(key);
-    if (it != rank_cache_.end()) return it->second;
-  }
-
+CorrelationCostModel::ResolvedSpec CorrelationCostModel::Resolve(
+    const MvSpec& spec, const UniverseStats& stats) const {
+  ResolvedSpec rs;
+  rs.spec = &spec;
+  rs.u = &UniverseFor(stats);
+  const DiskParams& disk = stats.options().disk;
+  rs.pages = MvHeapPages(spec, stats, disk);
+  rs.height = MvBTreeHeight(spec, stats, disk);
   std::vector<int> key_cols;
   key_cols.reserve(spec.clustered_key.size());
   for (const auto& c : spec.clustered_key) {
     key_cols.push_back(stats.universe().ColumnIndex(c));
   }
-
-  RankCacheEntry entry;
-  entry.rank_of_row = OrderCache(stats).ComposeRanks(key_cols);
-  std::lock_guard<std::mutex> lock(mu_);
-  return rank_cache_.try_emplace(std::move(key), std::move(entry))
-      .first->second;
+  UniverseMemo& u = *rs.u;
+  rs.key = &u.keys.GetOrCompute(key_cols, [&] {
+    KeyEntry entry;
+    entry.id = u.next_key.fetch_add(1, std::memory_order_relaxed);
+    entry.rank_of_row = u.orders.ComposeRanks(key_cols);
+    return entry;
+  });
+  return rs;
 }
 
-CostBreakdown CorrelationCostModel::FullScanPath(
-    const Query& q, const MvSpec& spec, const UniverseStats& stats) const {
-  (void)q;
-  const DiskParams& disk = stats.options().disk;
+uint32_t CorrelationCostModel::SubsetId(
+    UniverseMemo& u, const std::vector<std::string>& secondary_cols) const {
+  return u.subsets.GetOrCompute(secondary_cols, [&] {
+    return u.next_subset.fetch_add(1, std::memory_order_relaxed);
+  });
+}
+
+const CorrelationCostModel::QueryEntry& CorrelationCostModel::QueryFor(
+    UniverseMemo& u, const Query& q) const {
+  return u.queries.GetOrCompute(q.id, [&] {
+    QueryEntry entry;
+    entry.id = u.next_query.fetch_add(1, std::memory_order_relaxed);
+    for (auto& cols : SecondarySubsets(q)) {
+      QueryEntry::Subset sub;
+      sub.id = SubsetId(u, cols);
+      sub.matched = &Matched(u, q, entry.id, sub.id, cols);
+      sub.cols = std::move(cols);
+      entry.subsets.push_back(std::move(sub));
+    }
+    return entry;
+  });
+}
+
+const CorrelationCostModel::MatchedEntry& CorrelationCostModel::Matched(
+    UniverseMemo& u, const Query& q, uint32_t query_id, uint32_t subset_id,
+    const std::vector<std::string>& cols) const {
+  const uint64_t key = (static_cast<uint64_t>(query_id) << 32) | subset_id;
+  return u.matched.GetOrCompute(key, [&] {
+    const UniverseStats& stats = *u.stats;
+    const Synopsis& syn = stats.synopsis();
+    std::vector<const Predicate*> preds;
+    std::vector<int> ucols;
+    // Selectivity of the predicates the CM/index covers.
+    double sel_cols = 1.0;
+    for (const auto& p : q.predicates) {
+      if (std::find(cols.begin(), cols.end(), p.column) == cols.end()) {
+        continue;
+      }
+      preds.push_back(&p);
+      ucols.push_back(stats.universe().ColumnIndex(p.column));
+      sel_cols *= EstimateSelectivity(p, stats);
+    }
+
+    MatchedEntry entry;
+    entry.matched_full =
+        std::max(1.0, sel_cols * static_cast<double>(stats.num_rows()));
+    const size_t n = syn.sample_rows();
+    for (size_t i = 0; i < n; ++i) {
+      bool ok = true;
+      for (size_t j = 0; j < preds.size(); ++j) {
+        if (!preds[j]->Matches(syn.Values(ucols[j])[i])) {
+          ok = false;
+          break;
+        }
+      }
+      if (ok) entry.rows.push_back(static_cast<uint32_t>(i));
+    }
+    return entry;
+  });
+}
+
+CostBreakdown CorrelationCostModel::FullScanPath(const ResolvedSpec& rs) const {
+  const DiskParams& disk = rs.u->stats->options().disk;
   CostBreakdown out;
   out.path = AccessPath::kFullScan;
   out.selectivity = 1.0;
   out.fragments = 1.0;
-  out.read_seconds = MvFullScanSeconds(spec, stats, disk);
+  out.read_seconds = static_cast<double>(rs.pages) * disk.PageReadSeconds();
   out.seek_seconds = disk.seek_seconds;
   out.seconds = out.read_seconds + out.seek_seconds;
   return out;
 }
 
-CostBreakdown CorrelationCostModel::ClusteredPath(
-    const Query& q, const MvSpec& spec, const UniverseStats& stats) const {
+CostBreakdown CorrelationCostModel::ClusteredPath(const Query& q,
+                                                  const ResolvedSpec& rs) const {
   CostBreakdown out;
   const ClusteredPrefixPlan plan =
-      AnalyzeClusteredPrefix(q, spec.clustered_key, stats);
+      AnalyzeClusteredPrefix(q, rs.spec->clustered_key, *rs.u->stats);
   if (!plan.usable()) return out;  // infeasible
 
-  const DiskParams& disk = stats.options().disk;
-  const double pages = static_cast<double>(MvHeapPages(spec, stats, disk));
-  const double height = MvBTreeHeight(spec, stats, disk);
+  const DiskParams& disk = rs.u->stats->options().disk;
+  const double pages = static_cast<double>(rs.pages);
   const double pages_read =
       std::min(pages, std::max(plan.selectivity * pages, plan.num_ranges));
 
@@ -166,99 +254,55 @@ CostBreakdown CorrelationCostModel::ClusteredPath(
   out.selectivity = plan.selectivity;
   out.fragments = std::min(plan.num_ranges, pages_read);
   out.read_seconds = pages_read * disk.PageReadSeconds();
-  out.seek_seconds = disk.seek_seconds * out.fragments * height;
+  out.seek_seconds = disk.seek_seconds * out.fragments * rs.height;
   out.seconds = out.read_seconds + out.seek_seconds;
   return out;
 }
 
-CostBreakdown CorrelationCostModel::SecondaryPathCost(
-    const Query& q, const MvSpec& spec,
-    const std::vector<std::string>& secondary_cols) const {
-  std::string memo_key = "S|" + q.id + "|" + SpecSignature(spec) + "|";
-  for (const auto& c : secondary_cols) {
-    memo_key += c;
-    memo_key += ',';
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (auto it = result_cache_.find(memo_key); it != result_cache_.end()) {
-      return it->second;
-    }
-  }
-  const UniverseStats* stats = registry_->ForFact(spec.fact_table);
-  CORADD_CHECK(stats != nullptr);
-  const DiskParams& disk = stats->options().disk;
+CostBreakdown CorrelationCostModel::SecondaryPath(
+    const ResolvedSpec& rs, const MatchedEntry& matched_entry) const {
   CostBreakdown out;
-  if (spec.clustered_key.empty() || secondary_cols.empty()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    result_cache_.try_emplace(std::move(memo_key), out);
-    return out;
-  }
+  if (rs.spec->clustered_key.empty()) return out;  // infeasible
 
-  const double pages = static_cast<double>(MvHeapPages(spec, *stats, disk));
-  const double height = MvBTreeHeight(spec, *stats, disk);
+  const UniverseStats& stats = *rs.u->stats;
+  const DiskParams& disk = stats.options().disk;
+  const double pages = static_cast<double>(rs.pages);
   const double num_buckets =
       std::max(1.0, pages / static_cast<double>(options_.bucket_pages));
-
-  // Selectivity of the predicates the CM/index covers.
-  double sel_cols = 1.0;
-  for (const auto& p : q.predicates) {
-    if (std::find(secondary_cols.begin(), secondary_cols.end(), p.column) !=
-        secondary_cols.end()) {
-      sel_cols *= EstimateSelectivity(p, *stats);
-    }
-  }
-  const double matched_full =
-      std::max(1.0, sel_cols * static_cast<double>(stats->num_rows()));
-
-  const auto& matched = MatchedRows(*stats, q, secondary_cols);
-  const Synopsis& syn = stats->synopsis();
-  const size_t n = syn.sample_rows();
+  const double matched_full = matched_entry.matched_full;
+  const std::vector<uint32_t>& matched = matched_entry.rows;
+  const size_t n = stats.synopsis().sample_rows();
 
   double est_buckets;
   double occupancy;  // Fraction of the touched band that is actually read.
-  if (matched.empty() || n == 0) {
-    // No sampled row matched: fall back to the uncorrelated assumption —
-    // each matching tuple lands in its own bucket until buckets saturate.
+  if (matched.size() < 4 || n == 0) {
+    // No or too few sampled matches to read anything from their positions
+    // (a lucky pair of nearby rows would fake a strong correlation): fall
+    // back to the uncorrelated assumption — each matching tuple lands in
+    // its own bucket until buckets saturate.
     est_buckets = std::min(num_buckets, matched_full);
     occupancy = est_buckets / num_buckets;
   } else {
-    const auto& ranks = Ranks(*stats, spec).rank_of_row;
-    std::vector<int64_t> bucket_obs;
-    bucket_obs.reserve(matched.size());
-    const double scale = num_buckets / static_cast<double>(n);
-    for (uint32_t i : matched) {
-      bucket_obs.push_back(
-          static_cast<int64_t>(static_cast<double>(ranks[i]) * scale));
-    }
-    SortBucketObs(&bucket_obs, num_buckets);
-
     // Two estimators for the number of distinct buckets the full matched
     // population touches, good in complementary regimes:
     //  * AE over the sampled bucket frequencies (A-2.2's estimator) —
     //    accurate when the sample covers the touched region densely;
     //  * a span-occupancy model — the sampled ranks bound the touched band
-    //    [min,max]; throwing matched_full rows uniformly into its `span`
+    //    [first,last]; throwing matched_full rows uniformly into its `span`
     //    buckets touches span*(1-e^-lambda) of them. Accurate when the
     //    sample is sparse (highly selective predicates).
     // Both under-estimate outside their regime, so take the max.
-    if (matched.size() < 4) {
-      // Too few sampled matches to read anything from their positions (a
-      // lucky pair of nearby rows would fake a strong correlation): assume
-      // uncorrelated scatter.
-      est_buckets = std::min(num_buckets, matched_full);
-      occupancy = est_buckets / num_buckets;
-    } else {
-      const auto profile = SampleFrequencyProfile::FromSortedValues(
-          bucket_obs, static_cast<uint64_t>(matched_full));
-      const double d_ae = EstimateDistinctAe(profile);
-      const double span = static_cast<double>(bucket_obs.back()) -
-                          static_cast<double>(bucket_obs.front()) + 1.0;
-      const double lambda = matched_full / span;
-      const double d_span = span * (1.0 - std::exp(-lambda));
-      est_buckets = std::min(num_buckets, std::max(d_ae, d_span));
-      occupancy = std::min(1.0, est_buckets / span);
-    }
+    const BucketProfile bp =
+        ProfileBuckets(rs.key->rank_of_row, matched,
+                       num_buckets / static_cast<double>(n),
+                       static_cast<uint64_t>(matched_full));
+    const double d_ae = EstimateDistinctAe(bp.profile);
+    const double span = static_cast<double>(bp.last_bucket) -
+                        static_cast<double>(bp.first_bucket) + 1.0;
+    const double lambda = matched_full / span;
+    const double d_span = span * (1.0 - std::exp(-lambda));
+    est_buckets = std::min(num_buckets, std::max(d_ae, d_span));
+    occupancy = std::min(1.0, est_buckets / span);
   }
 
   // Touched buckets coalesce into fragments where they are contiguous: at
@@ -270,21 +314,38 @@ CostBreakdown CorrelationCostModel::SecondaryPathCost(
       pages, est_buckets * static_cast<double>(options_.bucket_pages));
 
   out.path = AccessPath::kSecondary;
-  out.secondary_columns = secondary_cols;
   out.selectivity = pages_read / std::max(1.0, pages);
   out.fragments = fragments;
   out.read_seconds = pages_read * disk.PageReadSeconds();
-  out.seek_seconds = disk.seek_seconds * fragments * height;
+  out.seek_seconds = disk.seek_seconds * fragments * rs.height;
   out.seconds = out.read_seconds + out.seek_seconds;
-  std::lock_guard<std::mutex> lock(mu_);
-  return result_cache_.try_emplace(std::move(memo_key), std::move(out))
-      .first->second;
+  return out;
+}
+
+CostBreakdown CorrelationCostModel::SecondaryPathCost(
+    const Query& q, const MvSpec& spec,
+    const std::vector<std::string>& secondary_cols) const {
+  const UniverseStats* stats = registry_->ForFact(spec.fact_table);
+  CORADD_CHECK(stats != nullptr);
+  const ResolvedSpec rs = Resolve(spec, *stats);
+  UniverseMemo& u = *rs.u;
+  const uint32_t query_id = QueryFor(u, q).id;
+  const uint32_t subset_id = SubsetId(u, secondary_cols);
+  const SecondaryKey memo_key{query_id, subset_id, rs.key->id, rs.pages};
+  return u.secondary.GetOrCompute(memo_key, [&] {
+    CostBreakdown out;
+    if (!secondary_cols.empty()) {
+      out = SecondaryPath(rs,
+                          Matched(u, q, query_id, subset_id, secondary_cols));
+      if (out.feasible()) out.secondary_columns = secondary_cols;
+    }
+    return out;
+  });
 }
 
 std::vector<std::vector<std::string>> CorrelationCostModel::SecondarySubsets(
     const Query& q) const {
-  // Singletons, pairs (bounded), and the full set — the exact family both
-  // Cost() and CostLowerBound() walk, factored out so they cannot drift.
+  // Singletons, pairs (bounded), and the full set.
   const auto pred_cols = q.PredicateColumns();
   std::vector<std::vector<std::string>> subsets;
   for (const auto& c : pred_cols) subsets.push_back({c});
@@ -299,79 +360,55 @@ std::vector<std::vector<std::string>> CorrelationCostModel::SecondarySubsets(
   return subsets;
 }
 
+const CostBreakdown& CorrelationCostModel::Best(const Query& q,
+                                                const ResolvedSpec& rs) const {
+  const QueryEntry& qe = QueryFor(*rs.u, q);
+  const BestKey memo_key{qe.id, rs.key->id, rs.pages};
+  return rs.u->best.GetOrCompute(memo_key, [&] {
+    CostBreakdown best = FullScanPath(rs);
+    const CostBreakdown clustered = ClusteredPath(q, rs);
+    if (clustered.feasible() && clustered.seconds < best.seconds) {
+      best = clustered;
+    }
+    // Secondary paths are priced straight into the comparison: this memo
+    // entry already covers their inputs, so storing them would only add
+    // entries nothing reads.
+    const std::vector<std::string>* best_cols = nullptr;
+    for (const auto& sub : qe.subsets) {
+      CostBreakdown sec = SecondaryPath(rs, *sub.matched);
+      if (sec.feasible() && sec.seconds < best.seconds) {
+        best = std::move(sec);
+        best_cols = &sub.cols;
+      }
+    }
+    if (best_cols != nullptr) best.secondary_columns = *best_cols;
+    return best;
+  });
+}
+
 CostBreakdown CorrelationCostModel::Cost(const Query& q,
                                          const MvSpec& spec) const {
   const UniverseStats* stats = registry_->ForFact(spec.fact_table);
   if (stats == nullptr || !MvCanServe(q, spec)) return CostBreakdown{};
-
-  const std::string memo_key = "C|" + q.id + "|" + SpecSignature(spec);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (auto it = result_cache_.find(memo_key); it != result_cache_.end()) {
-      return it->second;
-    }
-  }
-
-  CostBreakdown best = FullScanPath(q, spec, *stats);
-
-  const CostBreakdown clustered = ClusteredPath(q, spec, *stats);
-  if (clustered.feasible() && clustered.seconds < best.seconds) {
-    best = clustered;
-  }
-
-  for (const auto& sub : SecondarySubsets(q)) {
-    const CostBreakdown sec = SecondaryPathCost(q, spec, sub);
-    if (sec.feasible() && sec.seconds < best.seconds) best = sec;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  return result_cache_.try_emplace(memo_key, std::move(best)).first->second;
+  return Best(q, Resolve(spec, *stats));
 }
 
-double CorrelationCostModel::CostLowerBound(const Query& q,
-                                            const MvSpec& spec) const {
+double CorrelationCostModel::GroupSeconds(const Workload& workload,
+                                          const std::vector<int>& query_indices,
+                                          const MvSpec& spec) const {
   const UniverseStats* stats = registry_->ForFact(spec.fact_table);
-  if (stats == nullptr || !MvCanServe(q, spec)) return kInfeasibleCost;
-
-  // Exact cheap paths: full scan always, clustered prefix when usable.
-  double lb = FullScanPath(q, spec, *stats).seconds;
-  const CostBreakdown clustered = ClusteredPath(q, spec, *stats);
-  if (clustered.feasible()) lb = std::min(lb, clustered.seconds);
-
-  // Floor under every secondary path the model can produce, per subset it
-  // would actually price. The floor is AE-free and key-independent, built
-  // from the cached matched-row sets: when a subset matches < 4 sampled
-  // rows, SecondaryPathCost uses the uncorrelated-scatter formula whose
-  // bucket count we reproduce exactly; otherwise the AE/span estimate can
-  // legitimately collapse to one bucket (a perfectly correlated clustering
-  // really is that cheap), so only the >=1-bucket, >=1-seek-chain floor is
-  // sound. Fragments >= 1 in every branch.
-  if (!spec.clustered_key.empty() && !q.predicates.empty()) {
-    const DiskParams& disk = stats->options().disk;
-    const double pages = static_cast<double>(MvHeapPages(spec, *stats, disk));
-    const double height = MvBTreeHeight(spec, *stats, disk);
-    const double num_buckets =
-        std::max(1.0, pages / static_cast<double>(options_.bucket_pages));
-    const size_t n = stats->synopsis().sample_rows();
-    for (const auto& sub : SecondarySubsets(q)) {
-      double floor_buckets = 1.0;
-      if (n > 0 && MatchedRows(*stats, q, sub).size() < 4) {
-        double sel_cols = 1.0;
-        for (const auto& p : q.predicates) {
-          if (std::find(sub.begin(), sub.end(), p.column) != sub.end()) {
-            sel_cols *= EstimateSelectivity(p, *stats);
-          }
-        }
-        const double matched_full = std::max(
-            1.0, sel_cols * static_cast<double>(stats->num_rows()));
-        floor_buckets = std::min(num_buckets, matched_full);
-      }
-      const double floor_pages = std::min(
-          pages, floor_buckets * static_cast<double>(options_.bucket_pages));
-      lb = std::min(lb, floor_pages * disk.PageReadSeconds() +
-                            disk.seek_seconds * height);
+  ResolvedSpec rs;  // resolved on the first query the spec can serve
+  double total = 0.0;
+  for (int qi : query_indices) {
+    const Query& q = workload.queries[static_cast<size_t>(qi)];
+    double seconds = kInfeasibleCost;
+    if (stats != nullptr && MvCanServe(q, spec)) {
+      if (rs.u == nullptr) rs = Resolve(spec, *stats);
+      seconds = Best(q, rs).seconds;
     }
+    total += seconds * q.frequency;
   }
-  return lb;
+  return total;
 }
 
 }  // namespace coradd

@@ -13,21 +13,30 @@
 // ("we run the Adaptive Estimator (AE) over random samples on the fly to
 // estimate fragments and selectivity for a given MV design and query").
 //
-// Hot-path layout (docs/CANDGEN.md): candidate generation prices thousands
-// of trial clustered keys, so (1) per-column synopsis orders are precomputed
-// once in a ColumnOrderCache and every trial key's ranks are composed by
-// stable counting-sort passes instead of a fresh comparison sort; (2) every
-// estimate is memoized by structural signature, so alpha sweeps, ablations
-// and feedback re-entries that revisit a (query, spec) pair never re-price;
-// (3) estimates compute outside the cache lock — concurrent misses duplicate
-// a pure computation and the first insert wins, keeping results independent
-// of thread count and arrival order.
+// Hot-path layout (docs/CANDGEN.md): candidate generation prices every trial
+// clustering of every query group, so a trial must cost a few hash probes.
+//  * Every estimate depends on the spec only through its universe, its
+//    clustered key and its heap page count (B-tree height follows from
+//    pages and key), so a spec is resolved ONCE — pages, height and an
+//    interned clustered-key id — and memo keys are small integer tuples:
+//    (query id, key id, pages) for a query's best path, plus the interned
+//    secondary column list for a secondary path. Query ids are interned per
+//    universe; hashes only pick a shard and bucket, hits compare full keys.
+//  * Memo tables are sharded, each shard with its own lock (no model-wide
+//    lock). Each estimate is computed once, outside any lock; concurrent
+//    askers of the same key wait for it, so results are bit-identical at
+//    any thread count and arrival order.
+//  * Clustered-key ranks are composed from per-column synopsis orders
+//    (ColumnOrderCache) once per distinct key; AE's bucket profile is
+//    counted by a fused per-thread kernel (cost/bucket_profile.h) instead
+//    of materializing and sorting bucket observations.
 #pragma once
 
-#include <map>
-#include <memory>
-#include <mutex>
+#include <atomic>
+#include <string>
+#include <vector>
 
+#include "common/sharded_memo.h"
 #include "cost/access_path.h"
 #include "cost/column_order_cache.h"
 #include "cost/cost_model.h"
@@ -51,8 +60,14 @@ class CorrelationCostModel : public CostModel {
  public:
   CorrelationCostModel(const StatsRegistry* registry,
                        CorrelationCostModelOptions options = {});
+  ~CorrelationCostModel() override;
+  CorrelationCostModel(const CorrelationCostModel&) = delete;
+  CorrelationCostModel& operator=(const CorrelationCostModel&) = delete;
 
   CostBreakdown Cost(const Query& q, const MvSpec& spec) const override;
+  double GroupSeconds(const Workload& workload,
+                      const std::vector<int>& query_indices,
+                      const MvSpec& spec) const override;
   std::string name() const override { return "correlation-aware"; }
   std::string CacheId() const override;
 
@@ -67,59 +82,62 @@ class CorrelationCostModel : public CostModel {
     return SecondaryPathCost(q, spec, secondary_cols);
   }
 
-  /// Cheap, AE-free lower bound on Cost(q, spec).seconds: the minimum of
-  /// the exact full-scan and clustered-prefix path costs and a floor under
-  /// every possible secondary path (>= 1 bucket read + 1 seek chain).
-  /// Candidate generation prunes trial clusterings against it;
-  /// property_test locks down CostLowerBound <= Cost on random specs.
-  double CostLowerBound(const Query& q, const MvSpec& spec) const override;
+  /// Entries of the SecondaryPathCost memo, keyed (query, columns, key,
+  /// pages), summed over universes.
+  size_t secondary_memo_entries() const;
 
  private:
-  struct RankCacheEntry {
-    /// rank_of_row[i] = position of synopsis row i in clustered-key order.
-    std::vector<uint32_t> rank_of_row;
+  struct UniverseMemo;
+  struct KeyEntry;
+  struct QueryEntry;
+  struct MatchedEntry;
+
+  /// A spec reduced to what its estimates depend on.
+  struct ResolvedSpec {
+    const MvSpec* spec = nullptr;
+    UniverseMemo* u = nullptr;
+    const KeyEntry* key = nullptr;  ///< interned clustered key
+    uint64_t pages = 0;
+    double height = 0.0;
   };
 
-  /// Synopsis rows satisfying the predicates of `q` restricted to `cols`.
-  const std::vector<uint32_t>& MatchedRows(
-      const UniverseStats& stats, const Query& q,
-      const std::vector<std::string>& cols) const;
+  /// The memo state of `stats`' universe, created on first use.
+  UniverseMemo& UniverseFor(const UniverseStats& stats) const;
 
-  /// Clustered-key rank of every synopsis row for `spec`'s key, composed
-  /// from the per-column order cache.
-  const RankCacheEntry& Ranks(const UniverseStats& stats,
-                              const MvSpec& spec) const;
+  ResolvedSpec Resolve(const MvSpec& spec, const UniverseStats& stats) const;
 
-  /// The (lazily created) per-column order cache of `stats`' synopsis.
-  const ColumnOrderCache& OrderCache(const UniverseStats& stats) const;
+  /// The interned entry of `q` (by id) in `u`.
+  const QueryEntry& QueryFor(UniverseMemo& u, const Query& q) const;
+
+  /// Interned id of a secondary column list.
+  uint32_t SubsetId(UniverseMemo& u,
+                    const std::vector<std::string>& secondary_cols) const;
+
+  /// Synopsis rows satisfying the predicates of `q` restricted to `cols`,
+  /// with the estimated full-table match count.
+  const MatchedEntry& Matched(UniverseMemo& u, const Query& q, uint32_t query_id,
+                              uint32_t subset_id,
+                              const std::vector<std::string>& cols) const;
+
+  /// Memoized best path of `q` against the resolved spec.
+  const CostBreakdown& Best(const Query& q, const ResolvedSpec& rs) const;
+
+  /// Secondary path over the matched rows of some column subset (AE over
+  /// the bucket profile); secondary_columns is left for the caller to set.
+  CostBreakdown SecondaryPath(const ResolvedSpec& rs,
+                              const MatchedEntry& matched) const;
 
   /// The secondary-path column subsets Cost() prices for `q`.
   std::vector<std::vector<std::string>> SecondarySubsets(const Query& q) const;
 
-  CostBreakdown FullScanPath(const Query& q, const MvSpec& spec,
-                             const UniverseStats& stats) const;
-  CostBreakdown ClusteredPath(const Query& q, const MvSpec& spec,
-                              const UniverseStats& stats) const;
+  CostBreakdown FullScanPath(const ResolvedSpec& rs) const;
+  CostBreakdown ClusteredPath(const Query& q, const ResolvedSpec& rs) const;
 
   const StatsRegistry* registry_;
   CorrelationCostModelOptions options_;
-
-  /// One lock guards lookup/insert on all four caches below; estimates are
-  /// computed OUTSIDE it (they are pure functions of immutable statistics),
-  /// so parallel candidate generation and evaluation price concurrently.
-  /// Map nodes are stable, entries are never erased, and racing computers
-  /// of the same key produce identical values (first insert wins) — results
-  /// are bit-identical at any thread count.
-  mutable std::mutex mu_;
-  mutable std::map<const UniverseStats*, std::unique_ptr<ColumnOrderCache>>
-      order_caches_;
-  mutable std::map<std::string, std::vector<uint32_t>> matched_cache_;
-  mutable std::map<std::string, RankCacheEntry> rank_cache_;
-  /// Full-result memo keyed on (query id, structural spec signature[, cols]).
-  /// Designers re-evaluate the same (query, design) pair constantly — across
-  /// feedback iterations, budget sweeps and plan selection — so this cache
-  /// is the difference between seconds and minutes of designer runtime.
-  mutable std::map<std::string, CostBreakdown> result_cache_;
+  /// Per-universe memo state: an append-only lock-free list (a model sees
+  /// one or two universes), so finding it takes no lock.
+  mutable std::atomic<UniverseMemo*> universes_{nullptr};
 };
 
 }  // namespace coradd

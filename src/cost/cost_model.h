@@ -71,14 +71,21 @@ class CostModel {
       const Query& q, const MvSpec& spec,
       const std::vector<std::string>& secondary_cols) const = 0;
 
-  /// A cheap lower bound on Cost(q, spec).seconds, used by candidate
-  /// generation to skip pricing trial clusterings that provably cannot beat
-  /// the best already seen. Must never exceed the true model cost; the
-  /// conservative default (no pruning power) is always sound.
-  virtual double CostLowerBound(const Query& q, const MvSpec& spec) const {
-    (void)q;
-    (void)spec;
-    return 0.0;
+  /// Frequency-weighted group cost: the sum of
+  /// Seconds(q, spec) * q.frequency over workload.queries[i] for each i in
+  /// `query_indices`, accumulated in that order. Candidate generation prices
+  /// every trial clustering of a query group through this call, so models
+  /// override it to resolve `spec` once per group rather than once per
+  /// query; an override must return exactly the value of this loop.
+  virtual double GroupSeconds(const Workload& workload,
+                              const std::vector<int>& query_indices,
+                              const MvSpec& spec) const {
+    double total = 0.0;
+    for (int qi : query_indices) {
+      const Query& q = workload.queries[static_cast<size_t>(qi)];
+      total += Seconds(q, spec) * q.frequency;
+    }
+    return total;
   }
 
   virtual std::string name() const = 0;

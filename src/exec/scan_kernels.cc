@@ -44,19 +44,26 @@ ResolvedQuery ResolveQuery(const Query& q, const MaterializedObject& obj) {
 
 size_t FilterFirst(const int64_t* col, size_t n, const Predicate& p,
                    uint32_t* sel) {
+  // Equality and range loops are branch-free: every row's index is written
+  // at the output cursor and the cursor advances by the match bit, so the
+  // loop's speed does not depend on selectivity or on branch prediction.
+  // sel[k] with k <= i < n is always in bounds for an n-entry `sel`.
   size_t k = 0;
   switch (p.type) {
     case PredicateType::kEquality: {
       const int64_t v = p.value;
       for (size_t i = 0; i < n; ++i) {
-        if (col[i] == v) sel[k++] = static_cast<uint32_t>(i);
+        sel[k] = static_cast<uint32_t>(i);
+        k += static_cast<size_t>(col[i] == v);
       }
       break;
     }
     case PredicateType::kRange: {
       const int64_t lo = p.lo, hi = p.hi;
       for (size_t i = 0; i < n; ++i) {
-        if (col[i] >= lo && col[i] <= hi) sel[k++] = static_cast<uint32_t>(i);
+        const int64_t x = col[i];
+        sel[k] = static_cast<uint32_t>(i);
+        k += static_cast<size_t>(x >= lo) & static_cast<size_t>(x <= hi);
       }
       break;
     }
@@ -75,20 +82,26 @@ size_t FilterFirst(const int64_t* col, size_t n, const Predicate& p,
 
 size_t FilterNext(const int64_t* col, const Predicate& p, uint32_t* sel,
                   size_t k) {
+  // Branch-free compaction in place: out <= j, so sel[out] never overwrites
+  // an entry that is still to be read.
   size_t out = 0;
   switch (p.type) {
     case PredicateType::kEquality: {
       const int64_t v = p.value;
       for (size_t j = 0; j < k; ++j) {
-        if (col[sel[j]] == v) sel[out++] = sel[j];
+        const uint32_t r = sel[j];
+        sel[out] = r;
+        out += static_cast<size_t>(col[r] == v);
       }
       break;
     }
     case PredicateType::kRange: {
       const int64_t lo = p.lo, hi = p.hi;
       for (size_t j = 0; j < k; ++j) {
-        const int64_t v = col[sel[j]];
-        if (v >= lo && v <= hi) sel[out++] = sel[j];
+        const uint32_t r = sel[j];
+        const int64_t x = col[r];
+        sel[out] = r;
+        out += static_cast<size_t>(x >= lo) & static_cast<size_t>(x <= hi);
       }
       break;
     }

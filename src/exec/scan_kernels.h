@@ -41,7 +41,9 @@ size_t InternColumn(const MaterializedObject& obj, const std::string& name,
 ResolvedQuery ResolveQuery(const Query& q, const MaterializedObject& obj);
 
 /// Fills `sel` with the batch-local indexes of rows matching `p`; the
-/// predicate type is dispatched once per batch, not once per row.
+/// predicate type is dispatched once per batch, not once per row. `sel`
+/// must hold `n` entries: equality and range filters are branch-free and
+/// store every row's index before deciding whether to keep it.
 size_t FilterFirst(const int64_t* col, size_t n, const Predicate& p,
                    uint32_t* sel);
 

@@ -7,19 +7,28 @@
 
 namespace coradd {
 
+namespace {
+
+/// Registry mirror of CandGenStats::groups_designed: every path that bumps
+/// the generator's own counter bumps this one by the same amount.
+obs::Counter& GroupsDesignedCounter() {
+  static obs::Counter& counter =
+      *obs::MetricsRegistry::Global().GetCounter("candgen.groups_designed");
+  return counter;
+}
+
+}  // namespace
+
 std::string CandidateGeneratorOptionsSignature(
     const CandidateGeneratorOptions& options) {
   std::string s = "g:";
   for (double a : options.grouping.alphas) s += StrFormat("%.17g,", a);
-  s += StrFormat("seed=%llu,restarts=%d|m:t=%d,attrs=%zu,inter=%zu,cat=%d,"
-                 "prune=%d,block=%zu",
+  s += StrFormat("seed=%llu,restarts=%d|m:t=%d,attrs=%zu,inter=%zu,cat=%d",
                  static_cast<unsigned long long>(options.grouping.seed),
                  options.grouping.restarts, options.merging.t,
                  options.merging.max_key_attrs,
                  options.merging.max_interleavings,
-                 options.merging.concatenation_only ? 1 : 0,
-                 options.merging.prune_trials ? 1 : 0,
-                 options.merging.pricing_block);
+                 options.merging.concatenation_only ? 1 : 0);
   return s;
 }
 
@@ -71,6 +80,7 @@ std::vector<MvSpec> MvCandidateGenerator::DesignForGroup(
     const Workload& workload, const QueryGroup& group,
     const std::string& fact_table, int t_override) const {
   groups_designed_.fetch_add(1, std::memory_order_relaxed);
+  GroupsDesignedCounter().Add(1);
   return index_designer_->DesignGroup(workload, group, fact_table,
                                       t_override);
 }
@@ -80,9 +90,6 @@ CandidateSet MvCandidateGenerator::Generate(const Workload& workload) const {
   TRACE_SPAN_NAMED(
       gen_span, "candgen.generate",
       {{"queries", static_cast<int64_t>(workload.queries.size())}});
-  static obs::Counter& groups_total = *obs::MetricsRegistry::Global()
-                                           .GetCounter(
-                                               "candgen.groups_designed");
   ThreadPool& pool =
       options_.pool != nullptr ? *options_.pool : ThreadPool::Shared();
   for (const auto& fact : workload.FactTables()) {
@@ -101,7 +108,7 @@ CandidateSet MvCandidateGenerator::Generate(const Workload& workload) const {
     if (fact_queries.empty()) continue;
 
     // §4.1: candidate query groups.
-    QueryGrouper grouper(stats, options_.grouping);
+    QueryGrouper grouper(stats, options_.grouping, &pool);
     std::vector<QueryGroup> groups = grouper.Groups(workload, fact_queries);
 
     // §4.2: t clusterings per group. Groups are independent, so their
@@ -114,7 +121,7 @@ CandidateSet MvCandidateGenerator::Generate(const Workload& workload) const {
           index_designer_->DesignGroup(workload, groups[g], fact);
     });
     groups_designed_.fetch_add(groups.size(), std::memory_order_relaxed);
-    groups_total.Add(groups.size());
+    GroupsDesignedCounter().Add(groups.size());
     for (auto& specs : per_group) {
       for (auto& spec : specs) out.mvs.push_back(std::move(spec));
     }

@@ -45,7 +45,7 @@ struct CandidateSet {
 /// generation passes and cache lookups (bench `candgen` JSON segment).
 struct CandGenStats {
   uint64_t trials_priced = 0;    ///< trial clusterings fully priced
-  uint64_t trials_pruned = 0;    ///< trials skipped by the pruning bound
+  uint64_t trials_pruned = 0;    ///< dominated trials dropped before pricing
   uint64_t groups_designed = 0;  ///< DesignGroup invocations
   uint64_t cache_hits = 0;       ///< CandidateGenCache hits
   uint64_t cache_misses = 0;     ///< CandidateGenCache misses (generations)

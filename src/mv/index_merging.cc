@@ -175,99 +175,36 @@ std::vector<std::string> ClusteredIndexDesigner::ApplyAttributeDrop(
 double ClusteredIndexDesigner::GroupCost(const Workload& workload,
                                          const QueryGroup& group,
                                          const MvSpec& spec) const {
-  double total = 0.0;
-  for (int qi : group) {
-    const Query& q = workload.queries[static_cast<size_t>(qi)];
-    const double c = model_->Seconds(q, spec);
-    total += c * q.frequency;
-  }
-  return total;
-}
-
-double ClusteredIndexDesigner::GroupCostLowerBound(const Workload& workload,
-                                                   const QueryGroup& group,
-                                                   const MvSpec& spec) const {
-  double total = 0.0;
-  for (int qi : group) {
-    const Query& q = workload.queries[static_cast<size_t>(qi)];
-    total += model_->CostLowerBound(q, spec) * q.frequency;
-  }
-  return total;
+  return model_->GroupSeconds(workload, group, spec);
 }
 
 std::map<double, std::vector<std::string>> ClusteredIndexDesigner::ScoreTrials(
     const Workload& workload, const QueryGroup& group, const MvSpec& proto,
-    const std::vector<std::vector<std::string>>& trials, size_t keep) const {
+    const std::vector<std::vector<std::string>>& trials) const {
   std::map<double, std::vector<std::string>> scored;
   if (trials.empty()) return scored;
   TRACE_SPAN("candgen.price_trials",
              {{"trials", static_cast<int64_t>(trials.size())}});
   ThreadPool& pool =
       options_.pool != nullptr ? *options_.pool : ThreadPool::Shared();
-  const size_t block = std::max<size_t>(size_t{1}, options_.pricing_block);
+
+  // Price the whole merge level concurrently; each task writes only its own
+  // slot, and GroupCost is a pure function of (trial, model state) whose
+  // memo layer is insertion-order independent.
   std::vector<double> cost(trials.size(), 0.0);
-  std::vector<char> pruned(trials.size(), 0);
-  uint64_t n_priced = 0;
-  uint64_t n_pruned = 0;
+  pool.ParallelFor(trials.size(), [&](size_t i) {
+    MvSpec trial = proto;
+    trial.clustered_key = trials[i];
+    cost[i] = GroupCost(workload, group, trial);
+  });
 
-  for (size_t begin = 0; begin < trials.size(); begin += block) {
-    const size_t end = std::min(trials.size(), begin + block);
-
-    // Pruning threshold: the keep-th smallest distinct priced cost so far.
-    // A trial whose lower bound exceeds it strictly cannot enter the kept
-    // top-`keep` (costs only shrink the threshold as more trials merge),
-    // so skipping it cannot change the produced candidates. The threshold
-    // refreshes at block boundaries only — between-block state is merged in
-    // enumeration order — so the pruned set is deterministic at any thread
-    // count.
-    double threshold = kInfeasibleCost;
-    bool have_threshold = false;
-    if (options_.prune_trials && scored.size() >= keep && keep > 0) {
-      auto it = scored.begin();
-      std::advance(it, static_cast<long>(keep) - 1);
-      threshold = it->first;
-      have_threshold = true;
-    }
-    if (have_threshold) {
-      for (size_t i = begin; i < end; ++i) {
-        MvSpec trial = proto;
-        trial.clustered_key = trials[i];
-        if (GroupCostLowerBound(workload, group, trial) > threshold) {
-          pruned[i] = 1;
-        }
-      }
-    }
-
-    // Price the surviving block concurrently; each task writes only its own
-    // slot, and GroupCost is a pure function of (trial, model state) whose
-    // memo layer is insertion-order independent.
-    pool.ParallelFor(end - begin, [&](size_t k) {
-      const size_t i = begin + k;
-      if (pruned[i]) return;
-      MvSpec trial = proto;
-      trial.clustered_key = trials[i];
-      cost[i] = GroupCost(workload, group, trial);
-    });
-
-    // Merge in enumeration order: equal-cost ties keep the first-enumerated
-    // key, exactly as the legacy serial loop did.
-    for (size_t i = begin; i < end; ++i) {
-      if (pruned[i]) {
-        ++n_pruned;
-        continue;
-      }
-      ++n_priced;
-      scored.emplace(cost[i], trials[i]);
-    }
-  }
-  trials_priced_.fetch_add(n_priced, std::memory_order_relaxed);
-  trials_pruned_.fetch_add(n_pruned, std::memory_order_relaxed);
+  // Merge in enumeration order: equal-cost ties keep the first-enumerated
+  // key, exactly as the legacy serial loop did.
+  for (size_t i = 0; i < trials.size(); ++i) scored.emplace(cost[i], trials[i]);
+  trials_priced_.fetch_add(trials.size(), std::memory_order_relaxed);
   static obs::Counter& reg_priced =
       *obs::MetricsRegistry::Global().GetCounter("candgen.trials_priced");
-  static obs::Counter& reg_pruned =
-      *obs::MetricsRegistry::Global().GetCounter("candgen.trials_pruned");
-  reg_priced.Add(n_priced);
-  reg_pruned.Add(n_pruned);
+  reg_priced.Add(trials.size());
   return scored;
 }
 
@@ -315,8 +252,11 @@ std::vector<MvSpec> ClusteredIndexDesigner::DesignGroup(
       }
     }
     trials_pruned_.fetch_add(dominated, std::memory_order_relaxed);
+    static obs::Counter& reg_pruned =
+        *obs::MetricsRegistry::Global().GetCounter("candgen.trials_pruned");
+    reg_pruned.Add(dominated);
     const std::map<double, std::vector<std::string>> scored =
-        ScoreTrials(workload, group, proto, trials, keep);
+        ScoreTrials(workload, group, proto, trials);
     candidates.clear();
     for (const auto& [cost, key] : scored) {
       candidates.push_back(key);

@@ -10,13 +10,13 @@
 // under the provided cost model, and drops trailing attributes once the
 // leading attributes' distinct count exceeds one value per heap page.
 //
-// Trial pricing is the designer's hot loop, so it runs in deterministic
-// parallel blocks: trials are enumerated in a fixed order, each block is
-// priced concurrently on the thread pool, results merge back in enumeration
-// order, and between blocks a sound lower bound (CostModel::CostLowerBound)
-// prunes trials that provably cannot enter the kept top-t. The produced
-// candidates are bit-identical at any thread count and with pruning on or
-// off (tests/property_test.cc + tests/candgen_test.cc lock this down).
+// Trial pricing is the designer's hot loop, so each merge level runs as one
+// deterministic parallel loop: trials are enumerated in a fixed order
+// (interleavings whose attribute-drop truncation repeats an enumerated key
+// are dropped first), priced concurrently on the thread pool through
+// CostModel::GroupSeconds, and merged back in enumeration order. The
+// produced candidates are bit-identical at any thread count
+// (tests/candgen_test.cc locks this down).
 #pragma once
 
 #include <map>
@@ -42,13 +42,6 @@ struct IndexMergingOptions {
   /// When true, merge by concatenation only — the [6]-style baseline used
   /// by the ablation bench for the "up to 90% slower" claim.
   bool concatenation_only = false;
-  /// Skip pricing trial keys whose cost lower bound already exceeds the
-  /// worst kept top-t cost. Sound (never changes the produced candidates);
-  /// off only for the pruning-safety property tests.
-  bool prune_trials = true;
-  /// Trials priced per parallel block; the pruning threshold refreshes at
-  /// block boundaries only, keeping the pruned set deterministic.
-  size_t pricing_block = 32;
   /// Pool trial pricing fans out on; nullptr = ThreadPool::Shared().
   ThreadPool* pool = nullptr;
 };
@@ -81,9 +74,8 @@ class ClusteredIndexDesigner {
                                   int t_override = 0) const;
 
   /// Trial clusterings fully priced / dropped before pricing (dominated
-  /// interleavings whose truncation duplicates an enumerated key, plus
-  /// bound prunes) since construction (monotone; deterministic for a fixed
-  /// input sequence).
+  /// interleavings whose truncation duplicates an enumerated key) since
+  /// construction (monotone; deterministic for a fixed input sequence).
   uint64_t trials_priced() const {
     return trials_priced_.load(std::memory_order_relaxed);
   }
@@ -97,20 +89,15 @@ class ClusteredIndexDesigner {
       const std::vector<std::string>& key, const MvSpec& proto,
       const UniverseStats& stats) const;
 
-  /// Sum of model costs of the group's queries against `spec`.
+  /// Frequency-weighted model cost of the group's queries against `spec`.
   double GroupCost(const Workload& workload, const QueryGroup& group,
                    const MvSpec& spec) const;
 
-  /// Sum of model cost lower bounds — never exceeds GroupCost.
-  double GroupCostLowerBound(const Workload& workload, const QueryGroup& group,
-                             const MvSpec& spec) const;
-
-  /// Prices `trials` (block-parallel, bound-pruned) and returns the scored
-  /// map (cost -> key, first-enumerated wins cost ties). `keep` is the
-  /// top-t size the caller will retain — the pruning threshold.
+  /// Prices `trials` in one parallel loop and returns the scored map
+  /// (cost -> key, first-enumerated wins cost ties).
   std::map<double, std::vector<std::string>> ScoreTrials(
       const Workload& workload, const QueryGroup& group, const MvSpec& proto,
-      const std::vector<std::vector<std::string>>& trials, size_t keep) const;
+      const std::vector<std::vector<std::string>>& trials) const;
 
   const StatsRegistry* registry_;
   const CostModel* model_;

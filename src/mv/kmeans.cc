@@ -30,14 +30,15 @@ KMeansResult KMeans(const std::vector<std::vector<double>>& points, int k,
   std::vector<std::vector<double>> centers;
   centers.reserve(static_cast<size_t>(k));
   centers.push_back(points[rng->Uniform(n)]);
-  std::vector<double> d2(n);
+  // d2[i] = squared distance from point i to its nearest chosen center,
+  // folded in one new center per round (min is exact, so this equals the
+  // minimum over all centers recomputed from scratch).
+  std::vector<double> d2(n, std::numeric_limits<double>::max());
   while (centers.size() < static_cast<size_t>(k)) {
     double total = 0.0;
     for (size_t i = 0; i < n; ++i) {
-      double best = std::numeric_limits<double>::max();
-      for (const auto& c : centers) best = std::min(best, SquaredDistance(points[i], c));
-      d2[i] = best;
-      total += best;
+      d2[i] = std::min(d2[i], SquaredDistance(points[i], centers.back()));
+      total += d2[i];
     }
     size_t chosen = 0;
     if (total <= 0.0) {

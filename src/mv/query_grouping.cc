@@ -7,8 +7,8 @@
 namespace coradd {
 
 QueryGrouper::QueryGrouper(const UniverseStats* stats,
-                           QueryGroupingOptions options)
-    : stats_(stats), options_(std::move(options)) {
+                           QueryGroupingOptions options, ThreadPool* pool)
+    : stats_(stats), options_(std::move(options)), pool_(pool) {
   CORADD_CHECK(stats != nullptr);
 }
 
@@ -20,13 +20,15 @@ std::vector<QueryGroup> QueryGrouper::Groups(
   if (n == 0) return {};
 
   // Propagated vectors are computed once; extension varies with alpha.
+  // Each query's vector is independent (its correlation-strength lookups
+  // are memoized pure estimates), so they fill their own slots in parallel.
   SelectivityVectorBuilder builder(stats_);
-  std::vector<std::vector<double>> propagated;
-  propagated.reserve(n);
-  for (int qi : fact_query_indices) {
-    propagated.push_back(
-        builder.Propagated(workload.queries[static_cast<size_t>(qi)]));
-  }
+  std::vector<std::vector<double>> propagated(n);
+  ThreadPool& pool = pool_ != nullptr ? *pool_ : ThreadPool::Shared();
+  pool.ParallelFor(n, [&](size_t i) {
+    propagated[i] = builder.Propagated(
+        workload.queries[static_cast<size_t>(fact_query_indices[i])]);
+  });
 
   // Singletons and the all-queries group are always candidates (dedicated
   // MVs and the maximal shared MV).

@@ -8,6 +8,7 @@
 #include <set>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "mv/selectivity_vector.h"
 #include "workload/query.h"
 
@@ -28,7 +29,10 @@ struct QueryGroupingOptions {
 /// Produces candidate query groups for one fact table.
 class QueryGrouper {
  public:
-  QueryGrouper(const UniverseStats* stats, QueryGroupingOptions options = {});
+  /// `pool` computes the queries' propagated selectivity vectors in
+  /// parallel (nullptr = ThreadPool::Shared()); groups do not depend on it.
+  QueryGrouper(const UniverseStats* stats, QueryGroupingOptions options = {},
+               ThreadPool* pool = nullptr);
 
   /// `fact_query_indices` are indices into `workload.queries` of the queries
   /// on this grouper's fact table. Returns deduplicated groups from every
@@ -41,6 +45,7 @@ class QueryGrouper {
  private:
   const UniverseStats* stats_;
   QueryGroupingOptions options_;
+  ThreadPool* pool_;
 };
 
 }  // namespace coradd

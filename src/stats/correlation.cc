@@ -19,22 +19,18 @@ double CorrelationCatalog::Distinct(const std::vector<int>& ucols) const {
   std::sort(key.begin(), key.end());
   key.erase(std::unique(key.begin(), key.end()), key.end());
 
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = distinct_cache_.find(key);
-  if (it != distinct_cache_.end()) return it->second;
-
-  double est;
-  if (exact_) {
-    est = static_cast<double>(universe_->DistinctCountComposite(key));
-  } else {
-    const auto hashes = synopsis_->CompositeHashes(key);
-    const auto profile =
-        SampleFrequencyProfile::FromHashes(hashes, synopsis_->total_rows());
-    est = EstimateDistinctAe(profile);
-  }
-  if (est < 1.0) est = 1.0;
-  distinct_cache_[key] = est;
-  return est;
+  return distinct_cache_.GetOrCompute(key, [&] {
+    double est;
+    if (exact_) {
+      est = static_cast<double>(universe_->DistinctCountComposite(key));
+    } else {
+      const auto hashes = synopsis_->CompositeHashes(key);
+      const auto profile =
+          SampleFrequencyProfile::FromHashes(hashes, synopsis_->total_rows());
+      est = EstimateDistinctAe(profile);
+    }
+    return est < 1.0 ? 1.0 : est;
+  });
 }
 
 std::vector<int> CorrelationCatalog::NormalizedUnion(

@@ -14,12 +14,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "catalog/universe.h"
+#include "common/sharded_memo.h"
 #include "discovery/dependencies.h"
 #include "stats/ae_estimator.h"
 #include "stats/synopsis.h"
@@ -82,10 +81,10 @@ class CorrelationCatalog {
   const DiscoveredDependencies* mined_ = nullptr;
   std::vector<int> mined_col_of_ucol_;
   CorrelationSource source_ = CorrelationSource::kSynopsis;
-  /// Guards distinct_cache_: the parallel evaluator calls Strength() from
-  /// many execution threads against one shared catalog.
-  mutable std::mutex mu_;
-  mutable std::map<std::vector<int>, double> distinct_cache_;
+  /// Distinct estimates by sorted column set. Candidate generation, query
+  /// grouping and the parallel evaluator query it from many threads, often
+  /// for the same set at once; each estimate is computed once.
+  mutable ShardedMemo<std::vector<int>, double, IntVectorHash> distinct_cache_;
 };
 
 }  // namespace coradd

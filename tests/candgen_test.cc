@@ -205,14 +205,6 @@ TEST(CandgenDeterminismTest, BitIdenticalAtThreadCounts128) {
   ExpectMatchesSnapshot(f, s8, kGoldenSynthetic6);  // and still golden
 }
 
-TEST(CandgenDeterminismTest, PruningOnOffProducesIdenticalSets) {
-  GoldenFixture f(SyntheticWorkload());
-  CandidateGeneratorOptions pruned;  // default: prune_trials = true
-  CandidateGeneratorOptions exhaustive;
-  exhaustive.merging.prune_trials = false;
-  ExpectSetsIdentical(f.Generate(pruned), f.Generate(exhaustive));
-}
-
 // ---------------------------------------------------------------------------
 // CandidateGenCache: hits return the cold-generation set verbatim.
 // ---------------------------------------------------------------------------

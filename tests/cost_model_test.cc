@@ -3,6 +3,10 @@
 // correlation-oblivious proxy of Figure 10.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
+#include "cost/bucket_profile.h"
 #include "cost/correlation_cost_model.h"
 #include "cost/oblivious_cost_model.h"
 #include "ssb/ssb.h"
@@ -228,6 +232,54 @@ TEST_F(CostModelTest, CostIsDeterministicAndCached) {
   EXPECT_EQ(a, b);
 }
 
+// SecondaryPathCost depends on the spec only through (key, heap pages): a
+// spec with a different column set but the same pages prices bit-identically
+// and reuses the memo entry; a spec with more pages gets its own entry.
+TEST_F(CostModelTest, SecondaryMemoKeysOnPagesNotColumnSet) {
+  const Query& q12 = workload_->queries[1];
+  const MvSpec a = Q11Spec({"lo_orderdate"});
+  // Swap d_year (unused by Q1.2) for a same-width column `a` lacks.
+  const int d_year = universe_->ColumnIndex("d_year");
+  const uint32_t width = universe_->Column(static_cast<size_t>(d_year)).byte_size;
+  MvSpec b = a;
+  for (size_t c = 0; c < universe_->NumColumns(); ++c) {
+    const auto& col = universe_->Column(c);
+    if (col.byte_size == width &&
+        std::find(a.columns.begin(), a.columns.end(), col.name) ==
+            a.columns.end()) {
+      std::replace(b.columns.begin(), b.columns.end(), std::string("d_year"),
+                   col.name);
+      break;
+    }
+  }
+  ASSERT_NE(a.columns, b.columns);
+  MvSpec c = a;
+  c.columns.push_back("lo_revenue");
+  const DiskParams& disk = stats_->options().disk;
+  ASSERT_EQ(MvHeapPages(a, *stats_, disk), MvHeapPages(b, *stats_, disk));
+  ASSERT_NE(MvHeapPages(a, *stats_, disk), MvHeapPages(c, *stats_, disk));
+
+  CorrelationCostModel model(registry_);
+  const std::vector<std::string> cols = {"d_yearmonthnum"};
+  const CostBreakdown pa = model.SecondaryPathCost(q12, a, cols);
+  const size_t entries = model.secondary_memo_entries();
+  const CostBreakdown pb = model.SecondaryPathCost(q12, b, cols);
+  EXPECT_EQ(model.secondary_memo_entries(), entries);  // shared entry
+  CorrelationCostModel fresh(registry_);
+  const CostBreakdown pb_fresh = fresh.SecondaryPathCost(q12, b, cols);
+  for (const CostBreakdown* p : {&pb, &pb_fresh}) {
+    EXPECT_EQ(p->seconds, pa.seconds);
+    EXPECT_EQ(p->read_seconds, pa.read_seconds);
+    EXPECT_EQ(p->seek_seconds, pa.seek_seconds);
+    EXPECT_EQ(p->fragments, pa.fragments);
+    EXPECT_EQ(p->selectivity, pa.selectivity);
+    EXPECT_EQ(p->secondary_columns, pa.secondary_columns);
+  }
+  const CostBreakdown pc = model.SecondaryPathCost(q12, c, cols);
+  EXPECT_EQ(model.secondary_memo_entries(), entries + 1);
+  EXPECT_EQ(pc.seconds, fresh.SecondaryPathCost(q12, c, cols).seconds);
+}
+
 TEST_F(CostModelTest, BaseServesAllThirteenQueries) {
   CorrelationCostModel model(registry_);
   for (const auto& q : workload_->queries) {
@@ -273,6 +325,90 @@ TEST_F(CostModelTest, ModelsAgreeOnFullScans) {
   const MvSpec spec = Q11Spec({"d_year"});
   EXPECT_NEAR(aware.Seconds(no_pred, spec), oblivious.Seconds(no_pred, spec),
               1e-9);
+}
+
+// ---------- Fused bucket-profile kernel ----------
+
+/// The reference the kernel replaced: materialize every observation's
+/// bucket, sort, and profile the sorted run lengths.
+BucketProfile ReferenceProfile(const std::vector<uint32_t>& ranks,
+                               const std::vector<uint32_t>& rows, double scale,
+                               uint64_t total_rows) {
+  std::vector<int64_t> obs;
+  for (uint32_t r : rows) obs.push_back(BucketOfRank(ranks[r], scale));
+  std::sort(obs.begin(), obs.end());
+  BucketProfile out;
+  out.profile = SampleFrequencyProfile::FromSortedValues(obs, total_rows);
+  out.first_bucket = obs.front();
+  out.last_bucket = obs.back();
+  return out;
+}
+
+void ExpectSameProfile(const BucketProfile& got, const BucketProfile& want) {
+  EXPECT_EQ(got.profile.sample_rows, want.profile.sample_rows);
+  EXPECT_EQ(got.profile.total_rows, want.profile.total_rows);
+  EXPECT_EQ(got.profile.distinct_in_sample, want.profile.distinct_in_sample);
+  EXPECT_EQ(got.profile.f1, want.profile.f1);
+  EXPECT_EQ(got.profile.f2, want.profile.f2);
+  EXPECT_EQ(got.first_bucket, want.first_bucket);
+  EXPECT_EQ(got.last_bucket, want.last_bucket);
+}
+
+TEST(BucketProfileTest, MatchesSortReferenceOnRandomInputs) {
+  Rng rng(77);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t n = 1 + rng.Uniform(3000);
+    std::vector<uint32_t> ranks(n);
+    for (size_t i = 0; i < n; ++i) ranks[i] = static_cast<uint32_t>(i);
+    for (size_t i = n; i > 1; --i) std::swap(ranks[i - 1], ranks[rng.Uniform(i)]);
+    // Matched sets from a single row to all rows; bucket counts from one
+    // bucket to far above the kernel's dense limit (4m + 1024).
+    const size_t m = 1 + rng.Uniform(n);
+    std::vector<uint32_t> rows;
+    for (size_t i = 0; i < n; ++i) {
+      if (rng.Uniform(n) < m) rows.push_back(static_cast<uint32_t>(i));
+    }
+    if (rows.empty()) rows.push_back(0);
+    const double buckets_per_row = trial % 3 == 0 ? 0.01
+                                   : trial % 3 == 1 ? 0.3
+                                                    : 50.0 + rng.Uniform(500);
+    const double scale = std::max(1.0, buckets_per_row * static_cast<double>(n)) /
+                         static_cast<double>(n);
+    const uint64_t total = rows.size() * (1 + rng.Uniform(100));
+    ExpectSameProfile(ProfileBuckets(ranks, rows, scale, total),
+                      ReferenceProfile(ranks, rows, scale, total));
+  }
+}
+
+TEST(BucketProfileTest, EdgeCases) {
+  std::vector<uint32_t> ranks(64);
+  for (size_t i = 0; i < ranks.size(); ++i) {
+    ranks[i] = static_cast<uint32_t>((i * 37) % 64);
+  }
+  // Fewer than four observations (the cost model does not use them for AE,
+  // but the kernel must still agree).
+  for (const std::vector<uint32_t>& rows :
+       {std::vector<uint32_t>{5}, std::vector<uint32_t>{1, 2},
+        std::vector<uint32_t>{0, 9, 63}}) {
+    ExpectSameProfile(ProfileBuckets(ranks, rows, 0.5, 10),
+                      ReferenceProfile(ranks, rows, 0.5, 10));
+  }
+  // Every observation in one bucket: one distinct value, no singletons.
+  std::vector<uint32_t> all(64);
+  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
+  const BucketProfile one = ProfileBuckets(ranks, all, 1.0 / 64.0, 1000);
+  ExpectSameProfile(one, ReferenceProfile(ranks, all, 1.0 / 64.0, 1000));
+  EXPECT_EQ(one.profile.distinct_in_sample, 1u);
+  EXPECT_EQ(one.first_bucket, one.last_bucket);
+  // A band far wider than the matches (the sparse fallback).
+  const std::vector<uint32_t> spread = {0, 1, 2, 3, 40, 41, 63};
+  const BucketProfile wide = ProfileBuckets(ranks, spread, 1e6, 7);
+  ExpectSameProfile(wide, ReferenceProfile(ranks, spread, 1e6, 7));
+  EXPECT_GT(wide.last_bucket - wide.first_bucket, 4 * 7 + 1024);
+  // The dense path right after the sparse one still starts from clean
+  // per-thread scratch.
+  ExpectSameProfile(ProfileBuckets(ranks, all, 0.25, 100),
+                    ReferenceProfile(ranks, all, 0.25, 100));
 }
 
 }  // namespace

@@ -2,9 +2,13 @@
 // executor correctness against reference scans, and maintenance simulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cost/correlation_cost_model.h"
 #include "exec/executor.h"
+#include "common/rng.h"
 #include "exec/maintenance.h"
+#include "exec/scan_kernels.h"
 #include "ssb/ssb.h"
 
 namespace coradd {
@@ -376,6 +380,49 @@ TEST_F(ExecTest, SharedPoolMatchesExplicitSingleThread) {
 }
 
 // ---------- Maintenance (Fig 14 property) ----------
+
+// ---------- Scan kernels ----------
+
+// The branch-free equality/range filters (and the IN filter) produce exactly
+// the selection a scalar predicate loop produces, first filter and
+// compaction alike, at selectivity 0, about one half, and 1.
+TEST(ScanKernelTest, FiltersMatchScalarReference) {
+  Rng rng(4242);
+  const size_t n = 1000;
+  std::vector<int64_t> a(n), b(n);
+  for (size_t i = 0; i < n; ++i) {
+    a[i] = static_cast<int64_t>(rng.Uniform(100));
+    b[i] = static_cast<int64_t>(rng.Uniform(10));
+  }
+  const std::vector<Predicate> preds = {
+      Predicate::Eq("c", -1),           // selects nothing
+      Predicate::Range("c", 200, 300),  // selects nothing
+      Predicate::Range("c", 0, 49),     // ~half of `a`
+      Predicate::Eq("c", 3),            // ~a tenth of `b`
+      Predicate::In("c", {1, 4, 7, 8, 9}),  // ~half of `b`
+      Predicate::Range("c", -5, 1000),  // selects everything
+      Predicate::In("c", {-3}),         // selects nothing
+  };
+  for (const Predicate& first : preds) {
+    for (const Predicate& second : preds) {
+      // Reference: indexes of rows matching `first` on a, then `second` on b.
+      std::vector<uint32_t> ref_first, ref_both;
+      for (size_t i = 0; i < n; ++i) {
+        if (!first.Matches(a[i])) continue;
+        ref_first.push_back(static_cast<uint32_t>(i));
+        if (second.Matches(b[i])) ref_both.push_back(static_cast<uint32_t>(i));
+      }
+      std::vector<uint32_t> sel(n, 0xdeadbeef);
+      const size_t k = exec::FilterFirst(a.data(), n, first, sel.data());
+      ASSERT_EQ(k, ref_first.size()) << first.ToString();
+      EXPECT_TRUE(std::equal(ref_first.begin(), ref_first.end(), sel.begin()));
+      const size_t k2 = exec::FilterNext(b.data(), second, sel.data(), k);
+      ASSERT_EQ(k2, ref_both.size())
+          << first.ToString() << " then " << second.ToString();
+      EXPECT_TRUE(std::equal(ref_both.begin(), ref_both.end(), sel.begin()));
+    }
+  }
+}
 
 TEST(MaintenanceTest, CostGrowsWithAdditionalObjects) {
   MaintenanceOptions options;

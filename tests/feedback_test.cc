@@ -4,6 +4,7 @@
 
 #include "cost/correlation_cost_model.h"
 #include "feedback/ilp_feedback.h"
+#include "obs/metrics.h"
 #include "solver/solver.h"
 #include "ssb/ssb.h"
 
@@ -62,6 +63,40 @@ StatsRegistry* FeedbackTest::registry_ = nullptr;
 CorrelationCostModel* FeedbackTest::model_ = nullptr;
 Workload* FeedbackTest::workload_ = nullptr;
 MvCandidateGenerator* FeedbackTest::generator_ = nullptr;
+
+// The registry's candgen counters are mirrors of CandGenStats: over a
+// Generate and a feedback run (which designs extra groups through
+// DesignForGroup), their deltas equal the generator's own counts.
+TEST_F(FeedbackTest, RegistryCandgenCountersMatchStats) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  const obs::Counter* priced = reg.GetCounter("candgen.trials_priced");
+  const obs::Counter* pruned = reg.GetCounter("candgen.trials_pruned");
+  const obs::Counter* groups = reg.GetCounter("candgen.groups_designed");
+  const uint64_t priced0 = priced->Value();
+  const uint64_t pruned0 = pruned->Value();
+  const uint64_t groups0 = groups->Value();
+
+  CandidateGeneratorOptions gopt;
+  gopt.grouping.alphas = {0.0, 0.5};
+  gopt.grouping.restarts = 1;
+  const MvCandidateGenerator generator(catalog_, registry_, model_, gopt);
+  CandidateSet set = generator.Generate(*workload_);
+  const size_t generated_groups = set.groups.size();
+  const uint64_t budget = 8ull << 20;
+  BuiltProblem initial = BuildSelectionProblem(
+      *workload_, std::move(set.mvs), *model_, *registry_, budget);
+  FeedbackOptions options;
+  options.max_iterations = 2;
+  RunIlpFeedback(*workload_, generator, *model_, *registry_,
+                 std::move(initial), budget, options);
+
+  const CandGenStats stats = generator.stats();
+  EXPECT_GT(stats.groups_designed, generated_groups);  // feedback designed
+  EXPECT_GT(stats.trials_pruned, 0u);
+  EXPECT_EQ(priced->Value() - priced0, stats.trials_priced);
+  EXPECT_EQ(pruned->Value() - pruned0, stats.trials_pruned);
+  EXPECT_EQ(groups->Value() - groups0, stats.groups_designed);
+}
 
 TEST_F(FeedbackTest, NeverWorseThanInitialSolution) {
   const uint64_t budget = 8ull << 20;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/context.h"
 #include "cost/correlation_cost_model.h"
 #include "cost/cost_model.h"
@@ -262,52 +263,65 @@ TEST_P(CandgenPricingPropertyTest, MemoizedPricesMatchFreshToTheLastBit) {
       const double cold = fresh.Seconds(q, spec);   // freshly computed
       EXPECT_EQ(first, memo) << q.id;               // bitwise
       EXPECT_EQ(first, cold) << q.id;               // bitwise
-      // The generation pruning bound never exceeds the true model cost.
-      EXPECT_LE(warm.CostLowerBound(q, spec), first) << q.id;
     }
   }
 }
 
-TEST_P(CandgenPricingPropertyTest, PruningNeverDropsBestInterleaving) {
+// Pricing through the sharded memo is bit-identical at 1, 2 and 8 pool
+// threads, concurrent lookups of the same keys included, and the model's
+// resolved GroupSeconds equals the generic per-query loop it overrides.
+TEST_P(CandgenPricingPropertyTest, PricesBitIdenticalAtThreadCounts128) {
   const CandgenFixture& f = SharedCandgenFixture();
-  Rng rng(GetParam() * 131 + 5);
-  CorrelationCostModel model(&f.context->registry());
+  Rng rng(GetParam() * 17 + 3);
+  std::vector<MvSpec> specs;
+  for (int i = 0; i < 8; ++i) specs.push_back(RandomSpec(&rng, f.workload));
+  // Each spec twice, so racing misses of one key happen.
+  const size_t num_specs = specs.size();
+  for (size_t i = 0; i < num_specs; ++i) specs.push_back(specs[i]);
+  std::vector<int> all(f.workload.queries.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+  const size_t nq = all.size();
 
-  // Random small-arity group; prune off == exhaustive enumeration (every
-  // order-preserving interleaving under the cap is priced).
-  QueryGroup group;
-  const size_t arity = 2 + rng.Uniform(2);
-  while (group.size() < arity) {
-    const int qi = static_cast<int>(rng.Uniform(f.workload.queries.size()));
-    if (std::find(group.begin(), group.end(), qi) == group.end()) {
-      group.push_back(qi);
+  struct Priced {
+    std::vector<CostBreakdown> each;  // [spec * nq + query]
+    std::vector<double> group;
+  };
+  const auto price = [&](size_t threads) {
+    ThreadPool pool(threads);
+    CorrelationCostModel model(&f.context->registry());
+    Priced p;
+    p.each.resize(specs.size() * nq);
+    p.group.resize(specs.size());
+    pool.ParallelFor(specs.size(), [&](size_t s) {
+      p.group[s] = model.GroupSeconds(f.workload, all, specs[s]);
+    });
+    pool.ParallelFor(p.each.size(), [&](size_t i) {
+      p.each[i] = model.Cost(f.workload.queries[i % nq], specs[i / nq]);
+    });
+    for (size_t s = 0; s < specs.size(); ++s) {
+      EXPECT_EQ(p.group[s],
+                model.CostModel::GroupSeconds(f.workload, all, specs[s]));
+    }
+    return p;
+  };
+  const Priced p1 = price(1);
+  for (size_t threads : {2, 8}) {
+    const Priced pt = price(threads);
+    for (size_t s = 0; s < specs.size(); ++s) {
+      EXPECT_EQ(pt.group[s], p1.group[s]) << threads << " threads";
+    }
+    for (size_t i = 0; i < p1.each.size(); ++i) {
+      const CostBreakdown& a = p1.each[i];
+      const CostBreakdown& b = pt.each[i];
+      EXPECT_EQ(a.seconds, b.seconds) << i;
+      EXPECT_EQ(a.read_seconds, b.read_seconds) << i;
+      EXPECT_EQ(a.seek_seconds, b.seek_seconds) << i;
+      EXPECT_EQ(a.fragments, b.fragments) << i;
+      EXPECT_EQ(a.selectivity, b.selectivity) << i;
+      EXPECT_EQ(a.path, b.path) << i;
+      EXPECT_EQ(a.secondary_columns, b.secondary_columns) << i;
     }
   }
-  std::sort(group.begin(), group.end());
-
-  IndexMergingOptions pruned_options;
-  pruned_options.t = 1 + static_cast<int>(rng.Uniform(3));
-  IndexMergingOptions exhaustive_options = pruned_options;
-  exhaustive_options.prune_trials = false;
-  ClusteredIndexDesigner pruned(&f.context->registry(), &model,
-                                pruned_options);
-  ClusteredIndexDesigner exhaustive(&f.context->registry(), &model,
-                                    exhaustive_options);
-
-  const std::vector<MvSpec> a =
-      pruned.DesignGroup(f.workload, group, "lineorder");
-  const std::vector<MvSpec> b =
-      exhaustive.DesignGroup(f.workload, group, "lineorder");
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].name, b[i].name) << i;
-    EXPECT_EQ(a[i].clustered_key, b[i].clustered_key) << i;
-    EXPECT_EQ(a[i].columns, b[i].columns) << i;
-  }
-  // Every trial the exhaustive designer priced was either priced or
-  // provably dominated under pruning — never silently lost.
-  EXPECT_EQ(pruned.trials_priced() + pruned.trials_pruned(),
-            exhaustive.trials_priced() + exhaustive.trials_pruned());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CandgenPricingPropertyTest,
