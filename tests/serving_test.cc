@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -70,6 +71,25 @@ class ServingTest : public ::testing::Test {
     obj.spec.is_base = true;
     d.objects.push_back(obj);
     d.object_for_query.assign(workload_->queries.size(), 0);
+    return d;
+  }
+
+  /// Per-query MV design (bench_serving's pooled section): one MV per query
+  /// clustered on its predicate columns, so plans are narrow range scans and
+  /// a Zipf stream revisits a cacheable working set — pool hits happen.
+  static DatabaseDesign PerQueryMvDesign() {
+    DatabaseDesign d;
+    d.designer = "per-query-mv";
+    for (size_t qi = 0; qi < workload_->queries.size(); ++qi) {
+      const Query& q = workload_->queries[qi];
+      DesignedObject obj;
+      obj.spec.name = "mv_q" + std::to_string(qi);
+      obj.spec.fact_table = q.fact_table;
+      obj.spec.columns = q.AllColumns();
+      obj.spec.clustered_key = q.PredicateColumns();
+      d.objects.push_back(obj);
+      d.object_for_query.push_back(qi);
+    }
     return d;
   }
 
@@ -507,6 +527,56 @@ TEST_F(ServingTest, ServingSmokePooledResultsSameAtAnyThreadCount) {
   for (size_t i = 1; i < aggs.size(); ++i) {
     EXPECT_EQ(aggs[i], aggs[0]);  // bit-identical doubles
     EXPECT_EQ(rows[i], rows[0]);
+  }
+}
+
+// What bench_serving's hit-rate gate (serving_pool_smoke) rests on: pooled
+// SubmitBatch rounds — query i of every client stream admitted together,
+// each round awaited before the next — in deterministic mode touch the pool
+// in one fixed order, so pool counters AND every ticket's simulated cost are
+// identical at any pool thread count. Concurrent clients give no such
+// guarantee; their interleaving moves hits and costs from run to run.
+TEST_F(ServingTest, ServingSmokePooledReplayCostsSameAtAnyThreadCount) {
+  const DatabaseDesign design = PerQueryMvDesign();
+  constexpr size_t kClients = 4;
+  constexpr size_t kRounds = 16;
+  std::vector<std::vector<size_t>> streams;
+  for (size_t c = 0; c < kClients; ++c) {
+    streams.push_back(MakeLookalikeStream(workload_->queries.size(), kRounds,
+                                          /*seed=*/700 + c));
+  }
+
+  std::vector<BufferPoolStats> pools;
+  std::vector<std::vector<double>> seconds;
+  for (const size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    ServingOptions options;
+    options.deterministic = true;
+    options.pool_fraction = 0.25;
+    options.exec.pool = &pool;
+    ServingEngine engine(context_, &design, workload_, planner_, options);
+    engine.Start();
+    std::vector<double> s;
+    for (int pass = 0; pass < 2; ++pass) {  // warm, then measured
+      for (size_t i = 0; i < kRounds; ++i) {
+        std::vector<size_t> batch;
+        for (const auto& stream : streams) batch.push_back(stream[i]);
+        for (auto& f : engine.SubmitBatch(batch)) {
+          s.push_back(f.get().simulated_seconds);
+        }
+      }
+    }
+    engine.Stop();
+    pools.push_back(engine.stats().pool);
+    seconds.push_back(std::move(s));
+  }
+  // The replay exercises the pool: some touches hit, some miss.
+  ASSERT_GT(pools[0].hits, 0u);
+  ASSERT_GT(pools[0].misses, 0u);
+  for (size_t i = 1; i < pools.size(); ++i) {
+    EXPECT_EQ(pools[i].touches, pools[0].touches);
+    EXPECT_EQ(pools[i].hits, pools[0].hits);
+    EXPECT_EQ(seconds[i], seconds[0]);  // bit-identical doubles
   }
 }
 
