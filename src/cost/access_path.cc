@@ -7,11 +7,20 @@ namespace coradd {
 bool MvCanServe(const Query& q, const MvSpec& spec) {
   if (q.fact_table != spec.fact_table) return false;
   if (spec.is_fact_recluster) return true;
-  for (const auto& col : q.AllColumns()) {
-    if (std::find(spec.columns.begin(), spec.columns.end(), col) ==
-        spec.columns.end()) {
-      return false;
-    }
+  // Checks the members of q.AllColumns() in place, without building it.
+  const auto has = [&spec](const std::string& col) {
+    return std::find(spec.columns.begin(), spec.columns.end(), col) !=
+           spec.columns.end();
+  };
+  for (const auto& p : q.predicates) {
+    if (!has(p.column)) return false;
+  }
+  for (const auto& g : q.group_by) {
+    if (!has(g)) return false;
+  }
+  for (const auto& a : q.aggregates) {
+    if (!has(a.col_a)) return false;
+    if (!a.col_b.empty() && !has(a.col_b)) return false;
   }
   return true;
 }

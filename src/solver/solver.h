@@ -27,9 +27,12 @@ namespace coradd {
 
 class ThreadPool;
 
-/// Engine knobs. The defaults suit post-domination CORADD instances; the
-/// wave shape (tasks_per_wave, nodes_per_task) trades incumbent freshness
-/// for parallel width but never affects the chosen design.
+/// Engine knobs. The defaults suit post-domination CORADD instances. The
+/// thread count never affects the chosen design. The wave shape
+/// (tasks_per_wave, nodes_per_task) trades incumbent freshness for parallel
+/// width, and it can change the design: it decides which nodes a max_nodes
+/// cap cuts off, and which of several designs within relative_gap of each
+/// other the search keeps.
 struct SolverOptions {
   uint64_t max_nodes = 4000000;     ///< deterministic cap, wave granularity
   double time_limit_seconds = 120.0;  ///< safety valve; see docs/SOLVER.md

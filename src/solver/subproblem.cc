@@ -26,13 +26,6 @@ inline double Weighted(double cost, double weight) {
   return cost == kInfeasibleCost ? kInf : cost * weight;
 }
 
-/// Fractional-knapsack ordering entry for the bound computation.
-struct DensityEntry {
-  double density;
-  double delta;
-  int32_t pos;
-};
-
 /// Reusable per-task buffers; sized once, no per-node allocation.
 struct Scratch {
   std::vector<double> wcur;              ///< per-query weighted current cost
@@ -56,10 +49,9 @@ struct Scratch {
 /// Marginal weighted benefit of pool position `pos` against `wcur`.
 inline double DeltaOf(const CompiledProblem& cp, const double* wcur,
                       int32_t pos) {
-  const double* row = cp.wcost.data() + static_cast<size_t>(pos) * cp.nq;
   double d = 0.0;
-  for (size_t q = 0; q < cp.nq; ++q) {
-    if (row[q] < wcur[q]) d += wcur[q] - row[q];
+  for (const RowEntry& e : cp.Row(static_cast<size_t>(pos))) {
+    if (e.wcost < wcur[e.q]) d += wcur[e.q] - e.wcost;
   }
   return d;
 }
@@ -68,17 +60,37 @@ inline double DeltaOf(const CompiledProblem& cp, const double* wcur,
 inline void ApplyTo(const CompiledProblem& cp, int32_t pos,
                     std::vector<double>* wcur, double* total,
                     uint64_t* used) {
-  const double* row = cp.wcost.data() + static_cast<size_t>(pos) * cp.nq;
-  for (size_t q = 0; q < cp.nq; ++q) {
-    if (row[q] < (*wcur)[q]) {
-      *total -= (*wcur)[q] - row[q];
-      (*wcur)[q] = row[q];
+  for (const RowEntry& e : cp.Row(static_cast<size_t>(pos))) {
+    if (e.wcost < (*wcur)[e.q]) {
+      *total -= (*wcur)[e.q] - e.wcost;
+      (*wcur)[e.q] = e.wcost;
     }
   }
   *used += cp.pool_sizes[static_cast<size_t>(pos)];
 }
 
 }  // namespace
+
+double FractionalKnapsack(std::vector<DensityEntry>* entries, uint64_t space,
+                          const std::vector<uint64_t>& pool_sizes) {
+  // Heap order: the top is the entry that comes first in the fill.
+  const auto fills_after = [](const DensityEntry& a, const DensityEntry& b) {
+    if (a.density != b.density) return a.density < b.density;
+    return a.pos > b.pos;
+  };
+  std::make_heap(entries->begin(), entries->end(), fills_after);
+  double knapsack = 0.0;
+  for (auto end = entries->end(); end != entries->begin(); --end) {
+    std::pop_heap(entries->begin(), end, fills_after);
+    const DensityEntry& e = *(end - 1);
+    const uint64_t sz =
+        std::max<uint64_t>(1, pool_sizes[static_cast<size_t>(e.pos)]);
+    if (sz > space) return knapsack + e.density * static_cast<double>(space);
+    knapsack += e.delta;
+    space -= sz;
+  }
+  return knapsack;
+}
 
 CompiledProblem CompileProblem(const SelectionProblem& p) {
   CompiledProblem cp;
@@ -154,17 +166,22 @@ CompiledProblem CompileProblem(const SelectionProblem& p) {
   cp.pool_sizes.reserve(entries.size());
   cp.pool_group.reserve(entries.size());
   cp.pos_of_candidate.assign(p.NumCandidates(), -1);
-  cp.wcost.resize(entries.size() * cp.nq);
+  cp.row_begin.reserve(entries.size() + 1);
+  cp.row_begin.push_back(0);
   for (size_t pos = 0; pos < entries.size(); ++pos) {
     const int id = entries[pos].id;
     cp.pos_of_candidate[static_cast<size_t>(id)] = static_cast<int>(pos);
     cp.pool.push_back(id);
     cp.pool_sizes.push_back(p.sizes[static_cast<size_t>(id)]);
     cp.pool_group.push_back(group_of[static_cast<size_t>(id)]);
-    double* row = cp.wcost.data() + pos * cp.nq;
     for (size_t q = 0; q < cp.nq; ++q) {
-      row[q] = Weighted(p.costs[q][static_cast<size_t>(id)], p.Weight(q));
+      const double wc =
+          Weighted(p.costs[q][static_cast<size_t>(id)], p.Weight(q));
+      if (wc < cp.root_wcur[q]) {
+        cp.rows.push_back({wc, static_cast<uint32_t>(q)});
+      }
     }
+    cp.row_begin.push_back(cp.rows.size());
   }
   return cp;
 }
@@ -280,9 +297,8 @@ TaskResult RunSearchTask(const CompiledProblem& cp, NodeRef start,
       if (g >= 0 && s.group_used[static_cast<size_t>(g)]) continue;
       const double d = DeltaOf(cp, s.wcur.data(), static_cast<int32_t>(pos));
       if (d <= kDeltaEps) continue;
-      const double* row = cp.wcost.data() + pos * cp.nq;
-      for (size_t q = 0; q < cp.nq; ++q) {
-        if (row[q] < s.wbest[q]) s.wbest[q] = row[q];
+      for (const RowEntry& e : cp.Row(pos)) {
+        if (e.wcost < s.wbest[e.q]) s.wbest[e.q] = e.wcost;
       }
       s.live.push_back(static_cast<int32_t>(pos));
       s.live_delta.push_back(d);
@@ -351,7 +367,7 @@ TaskResult RunSearchTask(const CompiledProblem& cp, NodeRef start,
     }
 
     // The combined bound is min(knapsack, potential), so if the potential
-    // alone already prunes, skip the knapsack's sort entirely.
+    // alone already prunes, skip the knapsack entirely.
     if (total - potential >= prune_bar) {
       ++out.bound_prunes;
       continue;
@@ -365,24 +381,8 @@ TaskResult RunSearchTask(const CompiledProblem& cp, NodeRef start,
                static_cast<double>(std::max<uint64_t>(1, cp.pool_sizes[pos])),
            s.live_delta[i], s.live[i]});
     }
-    std::sort(s.density.begin(), s.density.end(),
-              [](const DensityEntry& a, const DensityEntry& b) {
-                if (a.density != b.density) return a.density > b.density;
-                return a.pos < b.pos;
-              });
-    double knapsack = 0.0;
-    uint64_t space = cp.budget - used;
-    for (const auto& e : s.density) {
-      const uint64_t sz =
-          std::max<uint64_t>(1, cp.pool_sizes[static_cast<size_t>(e.pos)]);
-      if (sz <= space) {
-        knapsack += e.delta;
-        space -= sz;
-      } else {
-        knapsack += e.density * static_cast<double>(space);
-        break;
-      }
-    }
+    const double knapsack =
+        FractionalKnapsack(&s.density, cp.budget - used, cp.pool_sizes);
     const double gain = std::min(knapsack, potential);
     if (total - gain >= prune_bar) {
       ++out.bound_prunes;

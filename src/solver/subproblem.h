@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ilp/selection.h"
@@ -18,10 +19,18 @@
 namespace coradd {
 namespace solver_internal {
 
+/// One entry of a candidate's sparse cost row: query `q` and its weighted
+/// cost w_q * costs[q][m].
+struct RowEntry {
+  double wcost;
+  uint32_t q;
+};
+
 /// Read-only root compilation of a SelectionProblem. Candidate costs are
-/// transposed to pool-major, frequency-weighted rows so the per-node
-/// marginal-benefit scan is one contiguous pass per candidate (the original
-/// costs[q][m] layout strides by the full candidate count per access).
+/// transposed to pool-major, frequency-weighted sparse rows so the per-node
+/// marginal-benefit scan touches only the queries a candidate can improve
+/// (the original costs[q][m] layout strides by the full candidate count
+/// per access, and most entries of a column can never win).
 struct CompiledProblem {
   const SelectionProblem* problem = nullptr;
   size_t nq = 0;
@@ -37,9 +46,19 @@ struct CompiledProblem {
   std::vector<int> pos_of_candidate;     ///< candidate id -> pool pos or -1
   size_t num_groups = 0;
 
-  /// Weighted cost table: wcost[pos * nq + q] = w_q * costs[q][pool[pos]]
-  /// (infeasible pairs stay +infinity).
-  std::vector<double> wcost;
+  /// Sparse weighted cost rows in CSR form: pool position `pos` owns
+  /// rows[row_begin[pos] .. row_begin[pos + 1]), ascending in q, holding
+  /// exactly the queries whose weighted cost is below root_wcur[q]. A
+  /// node's per-query cost never rises above root_wcur, so no other query
+  /// can ever contribute to a benefit sum or a per-query minimum; walking
+  /// the row in ascending q adds the same terms in the same order as a
+  /// dense pass over every query.
+  std::vector<size_t> row_begin;         ///< pool.size() + 1 offsets
+  std::vector<RowEntry> rows;
+
+  std::span<const RowEntry> Row(size_t pos) const {
+    return {rows.data() + row_begin[pos], rows.data() + row_begin[pos + 1]};
+  }
 
   /// Root state: forced candidates applied.
   std::vector<double> root_wcur;         ///< per-query weighted best cost
@@ -49,6 +68,24 @@ struct CompiledProblem {
 };
 
 CompiledProblem CompileProblem(const SelectionProblem& problem);
+
+/// Fractional-knapsack entry for the bound computation: a live candidate's
+/// marginal benefit and that benefit per byte of its size (at least 1).
+struct DensityEntry {
+  double density;
+  double delta;
+  int32_t pos;
+};
+
+/// Fractional knapsack over `entries` in `space` bytes: takes entries whole
+/// in order of density descending, pool position ascending, then
+/// density * space of the first that does not fit. Positions are unique, so
+/// the order is strict and total. Entries come off a heap up to that break
+/// instead of being sorted (on the benchmark's pools the break comes after
+/// 5-10 % of them); the terms and their order are those of a sorted fill,
+/// so the sum is bit-identical to it. Reorders `entries`.
+double FractionalKnapsack(std::vector<DensityEntry>* entries, uint64_t space,
+                          const std::vector<uint64_t>& pool_sizes);
 
 /// A search node: the include/exclude path from the root, in apply order.
 /// Entries are pool positions.

@@ -1,6 +1,7 @@
 #include "stats/correlation.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/status.h"
 
@@ -15,9 +16,18 @@ CorrelationCatalog::CorrelationCatalog(const Universe* universe,
 
 double CorrelationCatalog::Distinct(const std::vector<int>& ucols) const {
   CORADD_CHECK(!ucols.empty());
-  std::vector<int> key = ucols;
-  std::sort(key.begin(), key.end());
-  key.erase(std::unique(key.begin(), key.end()), key.end());
+  // Most callers already pass a sorted, duplicate-free set (NormalizedUnion's
+  // output, single columns); only normalize a copy when they do not.
+  const bool normalized =
+      std::adjacent_find(ucols.begin(), ucols.end(),
+                         std::greater_equal<int>()) == ucols.end();
+  std::vector<int> sorted;
+  if (!normalized) {
+    sorted = ucols;
+    std::sort(sorted.begin(), sorted.end());
+    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  }
+  const std::vector<int>& key = normalized ? ucols : sorted;
 
   return distinct_cache_.GetOrCompute(key, [&] {
     double est;

@@ -139,6 +139,43 @@ TEST_F(CostModelTest, MvCanServeRequiresColumns) {
   EXPECT_FALSE(MvCanServe(q11, other));
 }
 
+TEST_F(CostModelTest, MvCanServeMatchesAllColumnsDefinition) {
+  // MvCanServe checks a query's columns in place; it must agree with the
+  // documented rule "the MV contains every column of AllColumns()". Specs
+  // are each query's own column set, also with one column dropped.
+  const auto reference = [](const Query& q, const MvSpec& spec) {
+    for (const auto& col : q.AllColumns()) {
+      if (std::find(spec.columns.begin(), spec.columns.end(), col) ==
+          spec.columns.end()) {
+        return false;
+      }
+    }
+    return true;
+  };
+  std::vector<MvSpec> specs;
+  for (const Query& q : workload_->queries) {
+    MvSpec spec = Q11Spec({});
+    spec.columns = q.AllColumns();
+    for (size_t drop = 0; drop <= spec.columns.size(); ++drop) {
+      MvSpec trial = spec;
+      if (drop < spec.columns.size()) {
+        trial.columns.erase(trial.columns.begin() +
+                            static_cast<ptrdiff_t>(drop));
+      }
+      specs.push_back(std::move(trial));
+    }
+  }
+  size_t served = 0;
+  for (const Query& q : workload_->queries) {
+    for (const MvSpec& spec : specs) {
+      ASSERT_EQ(MvCanServe(q, spec), reference(q, spec)) << q.id;
+      served += reference(q, spec) ? 1 : 0;
+    }
+  }
+  EXPECT_GT(served, 0u);
+  EXPECT_LT(served, workload_->queries.size() * specs.size());
+}
+
 TEST_F(CostModelTest, InfeasiblePairCostsInfinity) {
   CorrelationCostModel model(registry_);
   MvSpec missing = Q11Spec({"d_year"});

@@ -1,10 +1,14 @@
 // Tests for src/solver: the parallel warm-started branch-and-bound engine.
 // Planted-optimum knapsack instances, brute-force cross-checks, old-vs-new
-// engine agreement on fig6-style problems, bit-identical determinism at
-// 1/2/8 threads (including node-capped solves and warm starts), warm-start
-// session mapping, and incremental re-pricing equivalence.
+// engine agreement on fig6-style problems, the compiled sparse cost rows and
+// the knapsack's density heap, bit-identical determinism at 1/2/8 threads
+// (including node-capped solves and warm starts), a golden pin of the search
+// on an SSB pool, warm-start session mapping, and incremental re-pricing
+// equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/rng.h"
@@ -15,6 +19,7 @@
 #include "ilp/problem_builder.h"
 #include "mv/candidate_generator.h"
 #include "solver/solver.h"
+#include "solver/subproblem.h"
 #include "solver/warm_start.h"
 #include "ssb/ssb.h"
 
@@ -224,6 +229,114 @@ TEST(SolverEngineTest, AgreesWithLegacyEngineOnRandomInstances) {
     const SelectionResult legacy = SolveSelectionExact(p);
     const SelectionResult r = engine.Solve(p);
     EXPECT_NEAR(r.expected_cost, legacy.expected_cost, 1e-9) << seed;
+  }
+}
+
+// ---------- Compiled form: sparse rows and the knapsack heap ----------
+
+TEST(SolverCompileTest, SparseRowsHoldExactlyTheImprovingQueries) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SelectionProblem p = Fig6Synthetic(120, 13, seed);
+    // Uneven weights, with one zero weight: a weight-0 query never enters
+    // a row (its weighted cost is 0 everywhere).
+    Rng rng(seed);
+    p.query_weights.assign(p.NumQueries(), 1.0);
+    for (double& w : p.query_weights) w = 0.25 + rng.UniformDouble();
+    p.query_weights[3] = 0.0;
+    const solver_internal::CompiledProblem cp =
+        solver_internal::CompileProblem(p);
+    ASSERT_EQ(cp.row_begin.size(), cp.pool.size() + 1);
+    ASSERT_EQ(cp.row_begin.back(), cp.rows.size());
+    size_t entries = 0;
+    for (size_t pos = 0; pos < cp.pool.size(); ++pos) {
+      const size_t m = static_cast<size_t>(cp.pool[pos]);
+      std::vector<uint32_t> expect_q;
+      std::vector<double> expect_wcost;
+      for (size_t q = 0; q < cp.nq; ++q) {
+        if (p.costs[q][m] == kInfeasibleCost) continue;
+        const double wc = p.costs[q][m] * p.Weight(q);
+        if (wc < cp.root_wcur[q]) {
+          expect_q.push_back(static_cast<uint32_t>(q));
+          expect_wcost.push_back(wc);
+        }
+      }
+      std::vector<uint32_t> got_q;
+      std::vector<double> got_wcost;
+      for (const solver_internal::RowEntry& e : cp.Row(pos)) {
+        got_q.push_back(e.q);
+        got_wcost.push_back(e.wcost);
+      }
+      // Same queries in ascending order, same weighted costs to the bit.
+      EXPECT_EQ(got_q, expect_q) << "seed " << seed << " pos " << pos;
+      EXPECT_EQ(got_wcost, expect_wcost) << "seed " << seed << " pos " << pos;
+      // Every pool member improves some query at the root.
+      EXPECT_FALSE(got_q.empty());
+      entries += got_q.size();
+    }
+    // Sparse: a fig6 candidate serves 1-3 of the 13 queries.
+    EXPECT_LE(entries, 3 * cp.pool.size());
+  }
+}
+
+TEST(SolverCompileTest, HeapKnapsackEqualsSortedFill) {
+  // FractionalKnapsack pops a heap up to the fill's break. A full sort by
+  // (density desc, pos asc) followed by the same greedy fill must give the
+  // same sum to the bit, with planted density ties and budgets that break
+  // anywhere in the order, exactly at an entry's end, or never.
+  using solver_internal::DensityEntry;
+  Rng rng(42);
+  for (int trial = 0; trial < 500; ++trial) {
+    const size_t n = 1 + rng.Uniform(64);
+    std::vector<double> densities(1 + rng.Uniform(6));  // few: ties planted
+    for (double& d : densities) d = rng.UniformDouble();
+    std::vector<uint64_t> sizes(n);
+    std::vector<DensityEntry> entries(n);
+    uint64_t total = 0;
+    for (size_t i = 0; i < n; ++i) {
+      sizes[i] = rng.Uniform(1000);  // 0 counts as 1 byte
+      const double sz = static_cast<double>(std::max<uint64_t>(1, sizes[i]));
+      total += static_cast<uint64_t>(sz);
+      if (rng.Bernoulli(0.5)) {
+        const double density = densities[rng.Uniform(densities.size())];
+        entries[i] = {density, density * sz, static_cast<int32_t>(i)};
+      } else {  // as the search builds them: density = delta / size
+        const double delta = rng.UniformDouble() * sz;
+        entries[i] = {delta / sz, delta, static_cast<int32_t>(i)};
+      }
+    }
+    for (size_t i = n; i > 1; --i) {  // entries arrive in shuffled order
+      std::swap(entries[i - 1], entries[rng.Uniform(i)]);
+    }
+
+    std::vector<DensityEntry> sorted = entries;
+    std::sort(sorted.begin(), sorted.end(),
+              [](const DensityEntry& a, const DensityEntry& b) {
+                if (a.density != b.density) return a.density > b.density;
+                return a.pos < b.pos;
+              });
+    const auto size_of = [&sizes](const DensityEntry& e) {
+      return std::max<uint64_t>(1, sizes[static_cast<size_t>(e.pos)]);
+    };
+    uint64_t space = rng.Uniform(total + 2);
+    if (trial % 2 == 0) {  // the budget ends where the k-th entry ends
+      space = 0;
+      const size_t k = rng.Uniform(n + 1);
+      for (size_t i = 0; i < k; ++i) space += size_of(sorted[i]);
+    }
+    double expect = 0.0;
+    uint64_t left = space;
+    for (const DensityEntry& e : sorted) {
+      if (size_of(e) > left) {
+        expect += e.density * static_cast<double>(left);
+        break;
+      }
+      expect += e.delta;
+      left -= size_of(e);
+    }
+
+    EXPECT_EQ(solver_internal::FractionalKnapsack(&entries, space, sizes),
+              expect)
+        << "trial " << trial;
   }
 }
 
@@ -485,6 +598,38 @@ TEST_F(SolverSsbTest, WarmStartSessionMapsAcrossRebuiltProblems) {
               2.0 * engine.options().relative_gap *
                   (1.0 + cold_result.expected_cost));
   EXPECT_EQ(warm_stats.warm_solves, 1u);
+}
+
+TEST_F(SolverSsbTest, GoldenSearchOnSsbProblem) {
+  // Pins the exact search on a real SSB pool: node counts, chosen sets and
+  // the bits of the objective. Any change to node order, pruning or the
+  // floating-point sums shows up here first. The values were recorded with
+  // a dense cost table, so they also show the sparse rows are exact.
+  const BuiltProblem built = BuildSelectionProblem(
+      *workload_, *candidates_, *model_, *registry_, 4ull << 20);
+  ASSERT_EQ(built.problem.NumCandidates(), 77u);
+
+  SolverOptions capped_opt;
+  capped_opt.parallel = false;
+  capped_opt.max_nodes = 300;
+  capped_opt.nodes_per_task = 64;
+  SolverStats capped_stats;
+  const SelectionResult capped =
+      SolverEngine(capped_opt).Solve(built.problem, &capped_stats);
+  EXPECT_FALSE(capped.proved_optimal);
+  EXPECT_EQ(capped_stats.nodes_expanded, 301u);
+  EXPECT_EQ(capped.chosen, (std::vector<int>{0, 16, 24, 26, 42, 50, 62, 63}));
+  EXPECT_EQ(std::bit_cast<uint64_t>(capped.expected_cost),
+            0x3fc58ab7c48e56a6ull);
+
+  SolverStats optimal_stats;
+  const SelectionResult optimal =
+      SolverEngine().Solve(built.problem, &optimal_stats);
+  EXPECT_TRUE(optimal.proved_optimal);
+  EXPECT_EQ(optimal_stats.nodes_expanded, 6433u);
+  EXPECT_EQ(optimal.chosen, (std::vector<int>{0, 8, 16, 24, 26, 62, 65}));
+  EXPECT_EQ(std::bit_cast<uint64_t>(optimal.expected_cost),
+            0x3fc58371c2e953adull);
 }
 
 }  // namespace

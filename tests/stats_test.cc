@@ -246,6 +246,23 @@ TEST_F(CorrelationTest, EstimatedStrengthTracksExact) {
               0.2);
 }
 
+TEST_F(CorrelationTest, DistinctNormalizesColumnSets) {
+  // Distinct is keyed by the sorted, duplicate-free column set: any order
+  // or repetition of the same columns gives the estimate of the sorted set,
+  // whether or not the sorted set was asked for first.
+  const Synopsis syn = Synopsis::Build(*universe_, 4096, 42);
+  const int city = universe_->ColumnIndex("d_city");
+  const int val = universe_->ColumnIndex("f_val");
+  const std::vector<int> sorted = {std::min(city, val), std::max(city, val)};
+  const std::vector<int> shuffled = {sorted[1], sorted[0], sorted[1]};
+  CorrelationCatalog sorted_first(universe_.get(), &syn, /*exact=*/false);
+  CorrelationCatalog shuffled_first(universe_.get(), &syn, /*exact=*/false);
+  const double reference = sorted_first.Distinct(sorted);
+  EXPECT_EQ(sorted_first.Distinct(shuffled), reference);
+  EXPECT_EQ(shuffled_first.Distinct(shuffled), reference);
+  EXPECT_EQ(shuffled_first.Distinct(sorted), reference);
+}
+
 TEST_F(CorrelationTest, StatsCollectorBuildsEverything) {
   StatsOptions options;
   options.sample_rows = 2048;
